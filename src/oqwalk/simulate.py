@@ -9,6 +9,14 @@ keyed by (seed, i), so ensembles are bit-identical across runs, chunk sizes
 and any parallel schedule. The engine advances all trajectories of a chunk
 in lockstep with batched contractions; this changes nothing statistically
 because the streams are per-trajectory.
+
+The batched step precomputes the effects M_j = L_j* L_j once per run, so the
+branch probabilities p_j = Tr(M_j rho) = Re<M_j, rho> of a whole chunk are
+one real matrix product, O(v h^2) per trajectory. The update then gathers
+each trajectory's chosen L_j and L_j* and applies (L_j rho) L_j* in one
+batched product, with the same association as the scalar ``step``. Uniforms
+are drawn in blocks of ``DRAW_BLOCK`` steps from the chunk's generators;
+consecutive draws continue the same stream, so blocking changes no value.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .errors import DegenerateStepError, MissingTrackError
 from .structure import DiagonalState
 
 CHUNK = 4096
+DRAW_BLOCK = 256
 REHERMITIZE_EVERY = 50
 
 
@@ -152,6 +161,10 @@ def run(
     site_cdf /= site_cdf[-1]
 
     kraus = model.kraus
+    kraus_dag = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
+    num_kraus = kraus.shape[0]
+    # Re<M_j, rho> is the dot product of the interleaved (re, im) entries
+    effects = (kraus_dag @ kraus).view(float).reshape(num_kraus, 2 * h * h).T.copy()
     shifts = model.shifts
     track_ids = sorted(tracks.keys())
     track_ops = [np.asarray(tracks[t], dtype=complex) for t in track_ids]
@@ -166,12 +179,11 @@ def run(
     for lo in range(0, n_traj, CHUNK):
         hi = min(lo + CHUNK, n_traj)
         c = hi - lo
-        uniforms = np.empty((c, n_steps + 1))
-        for i in range(c):
-            uniforms[i] = trajectory_rng(config.seed, lo + i).random(n_steps + 1)
+        rngs = [trajectory_rng(config.seed, i) for i in range(lo, hi)]
+        block = np.empty((c, min(DRAW_BLOCK, n_steps)))
 
         site_idx = np.minimum(
-            np.searchsorted(site_cdf, uniforms[:, 0], side="right"),
+            np.searchsorted(site_cdf, [g.random() for g in rngs], side="right"),
             len(sites) - 1,
         )
         states = site_mats[site_idx].copy()
@@ -186,7 +198,7 @@ def run(
                 return
             for tid, op in zip(track_ids, track_ops):
                 vals = np.einsum("ab,nba->n", op, states).real
-                if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
+                if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
                     raise ValueError(
                         f"track {tid!r} left [0,1]: range "
                         f"[{vals.min():.3e}, {vals.max():.3e}]"
@@ -195,23 +207,26 @@ def run(
 
         record(0)
         for n in range(1, n_steps + 1):
-            probs = np.einsum("iab,nbc,iac->ni", kraus, states, kraus.conj()).real
+            k = (n - 1) % DRAW_BLOCK
+            if k == 0:
+                uniforms = block[:, : min(DRAW_BLOCK, n_steps - n + 1)]
+                for g, row in zip(rngs, uniforms):
+                    g.random(out=row)
+            probs = states.view(float).reshape(c, 2 * h * h) @ effects
             np.clip(probs, 0.0, None, out=probs)
             totals = probs.sum(axis=1)
-            if np.any(totals < 1e-14):
+            if not np.all(totals >= 1e-14):
                 raise DegenerateStepError("all branch probabilities vanish")
             cdf = np.cumsum(probs / totals[:, None], axis=1)
             chosen = np.minimum(
-                (cdf < uniforms[:, n, None]).sum(axis=1), kraus.shape[0] - 1
+                (cdf < uniforms[:, k, None]).sum(axis=1), num_kraus - 1
             )
-            for b in range(kraus.shape[0]):
-                mask = chosen == b
-                if not np.any(mask):
-                    continue
-                sub = kraus[b] @ states[mask] @ kraus[b].conj().T
-                tr = np.einsum("naa->n", sub).real
-                states[mask] = sub / tr[:, None, None]
-                positions[mask] += shifts[b]
+            states = kraus[chosen] @ states @ kraus_dag[chosen]
+            tr = np.einsum("naa->n", states).real
+            if not np.all(tr >= 1e-14):
+                raise DegenerateStepError("selected branch has vanishing probability")
+            states /= tr[:, None, None]
+            positions += shifts[chosen]
             if n % REHERMITIZE_EVERY == 0:
                 states = 0.5 * (states + states.conj().transpose(0, 2, 1))
             if paths is not None:

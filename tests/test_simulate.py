@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from oqwalk import models, simulate
-from oqwalk.channel import ChannelView, apply
+from oqwalk.channel import ChannelView, WalkModel, apply
 from oqwalk.errors import DegenerateStepError, MissingTrackError
 from oqwalk.linalg import orthonormal_complement
 from oqwalk.simulate import (
@@ -17,7 +19,7 @@ from oqwalk.simulate import (
     trajectory_rng,
 )
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
-from util import basis_subspace, random_densities
+from util import basis_subspace, random_densities, random_density, random_walk_model
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,67 @@ class TestRun:
             for _ in range(cfg.steps):
                 st = step(st, four_state_module, rng)
             assert np.array_equal(st.position, ens.final_positions[idx])
+
+    def test_matches_scalar_stepping_planar(self):
+        rng = np.random.default_rng(17)
+        model = random_walk_model(rng, 8, lattice_dim=2)
+        rho = DiagonalState(
+            {(0, 0): 0.5 * random_density(rng, 8), (2, -1): 0.5 * random_density(rng, 8)}
+        )
+        proj = np.diag([1.0] * 3 + [0.0] * 5).astype(complex)
+        cfg = SimConfig(steps=30, trajectories=16, seed=23, y_stride=6)
+        ens = run(model, rho, cfg, tracks={"p": proj})
+        for idx in (0, 5, 15):
+            rng_i = trajectory_rng(cfg.seed, idx)
+            st = sample_initial(rho, rng_i)
+            assert np.array_equal(st.position, ens.initial_positions[idx])
+            values = [float(np.trace(proj @ st.state).real)]
+            for n in range(1, cfg.steps + 1):
+                st = step(st, model, rng_i)
+                if n in ens.y_snapshot_steps:
+                    values.append(float(np.trace(proj @ st.state).real))
+            assert np.array_equal(st.position, ens.final_positions[idx])
+            np.testing.assert_allclose(ens.y_tracks["p"][idx], values, rtol=0, atol=1e-12)
+
+    def test_reproducible_digest(self, monkeypatch, four_state_module, edge_absorption):
+        # pinned from the per-branch masked engine with one draw per trajectory:
+        # any change to the streams, the site draw or the branch choice moves
+        # these integer positions
+        rho = DiagonalState({(0,): np.diag([0.5, 0, 0, 0]), (5,): np.diag([0, 0, 0, 0.5])})
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
+        cfg = SimConfig(steps=40, trajectories=100, seed=21, y_stride=10)
+        ens = run(four_state_module, rho, cfg, tracks={"edge": edge_absorption})
+        digest = hashlib.sha256()
+        for arr in (ens.initial_positions, ens.final_positions):
+            digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        assert digest.hexdigest() == (
+            "1786c4e9df798376fe8469670723adc5cd9acffc57ae605faee87bc104afbcf6"
+        )
+
+    def test_vanishing_selected_branch_rejected(self, monkeypatch):
+        # on e_0 the branches have probabilities (0.05, 0.5, 0.45, 0); their
+        # normalized CDF ends below u, so the draw clamps to the empty last branch
+        u = 1.0 - 2.0**-53
+        weights = np.array([0.05, 0.5, 0.45])
+        kraus = np.zeros((4, 2, 2), dtype=complex)
+        kraus[:3, 0, 0] = np.sqrt(weights)
+        kraus[3, 1, 1] = 1.0
+        model = WalkModel(shifts=np.array([[-1], [1], [2], [3]]), kraus=kraus)
+        e0 = np.diag([1.0, 0.0]).astype(complex)
+        probs = branch_probabilities(model, e0)
+        assert probs[-1] == 0.0 and np.cumsum(probs / probs.sum())[-1] < u
+
+        class FixedDraws:
+            def random(self, out=None):
+                if out is None:
+                    return u
+                out.fill(u)
+                return out
+
+        monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws())
+        with pytest.raises(DegenerateStepError):
+            run(model, DiagonalState.single_site(e0), SimConfig(steps=3, trajectories=4, seed=0))
 
     def test_zero_steps(self, two_state):
         tau = np.diag([0.0, 1.0]).astype(complex)
