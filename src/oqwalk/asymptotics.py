@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelView, WalkModel, perron, to_matrix, unvec, vec
-from .errors import NoConvergenceError, NotIrreducibleError, SplitIdentityError
+from .errors import (
+    NoConvergenceError,
+    NotIrreducibleError,
+    SingularMatrixError,
+    SplitIdentityError,
+)
 from .linalg import (
     Subspace,
     hermitian_part,
@@ -27,12 +32,15 @@ from .structure import (
     DiagonalState,
     SpaceDecomposition,
     absorption,
+    fixed_space_dim,
     reachable_space,
     recurrent_space,
     weights,
 )
 
 U_MAX = 20.0
+GRAD_TOL = 1e-11  # stationarity of x.u - log lambda_u
+BRACKET_TOL = 1e-14  # bound on the value lost inside a final 1-D bracket
 NONSMOOTH_CAVEAT = (
     "lower bound holds on exposed points of the rate function only, when the "
     "deformed log spectral radius fails to be smooth"
@@ -103,11 +111,6 @@ def _shift_weighted_apply(view: ChannelView, weights_per_term: np.ndarray, sigma
     for w, kr in zip(weights_per_term, view.compressed_kraus):
         out += w * (kr @ sigma @ kr.conj().T)
     return out
-
-
-def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
-    vals = np.linalg.eigvals(to_matrix(ChannelView(model, subspace)))
-    return int(np.sum(np.abs(vals - 1.0) <= 1e-9))
 
 
 def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
@@ -219,63 +222,66 @@ def log_lambda(model: WalkModel, subspace: Subspace, u) -> float:
     return float(np.log(radius))
 
 
-def _log_lambda_grad(model: WalkModel, subspace: Subspace, u) -> np.ndarray:
-    """Gradient of u -> log lambda_u; analytic via the Perron pair, falling
-    back to central differences when the dominant eigenpair is unusable."""
+def _log_lambda_derivatives(model: WalkModel, subspace: Subspace, u):
+    """log lambda_u with its gradient and Hessian, from one Perron pair.
+
+    With T_u = to_matrix(view), its Perron pair T_u tau = lam tau,
+    w* T_u = lam w*, the pairing p = <w, tau>, and T_j, T_jk the s_j- and
+    s_j s_k-weighted superoperators: lam_j = <w, T_j tau> / p; tau_k solves
+    the bordered system (lam - T_u + tau w* / p) tau_k = T_k tau - lam_k tau,
+    which also fixes <w, tau_k> = 0; and
+    lam_jk = (<w, T_jk tau> + <w, T_j tau_k> + <w, T_k tau_j>) / p.
+
+    The Hessian is None when the bordered system is singular (a degenerate
+    dominant eigenvalue, as at a kink lam_V = lam_W of a bounds-only
+    compression). When the Perron pair itself is unusable the gradient falls
+    back to central differences of log_lambda, again without a Hessian.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = u.size
+    view = ChannelView(model, subspace, u)
     try:
-        pd = perron(ChannelView(model, subspace, u))
-        denom = float(np.trace(pd.dual_weight @ pd.state).real)
-        if denom <= 1e-10:
+        pd = perron(view)
+        pairing = float(np.trace(pd.dual_weight @ pd.state).real)
+        if pairing <= 1e-10:
             raise NoConvergenceError("left/right eigenvector pairing degenerate")
-        view = ChannelView(model, subspace, u)
-        shifts = model.shifts.astype(float)
-        base = view.weights
-        grad = np.zeros(d)
-        for j in range(d):
-            lp = _shift_weighted_apply(view, shifts[:, j] * base, pd.state)
-            grad[j] = float(np.trace(pd.dual_weight @ lp).real) / (pd.value * denom)
-        return grad
     except NoConvergenceError:
-        step = 1e-6
-        grad = np.zeros(d)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            grad[j] = (
-                log_lambda(model, subspace, u + e) - log_lambda(model, subspace, u - e)
-            ) / (2 * step)
-        return grad
+        value = log_lambda(model, subspace, u)
+        return value, _central_gradient(model, subspace, u), None
+
+    kr = view.compressed_kraus
+    kr_dag = kr.conj().transpose(0, 2, 1)
+    k2 = view.dim * view.dim
+    # column-major vec of each term: K_i tau K_i* and the dual K_i* W K_i
+    terms_tau = (kr @ pd.state @ kr_dag).transpose(0, 2, 1).reshape(-1, k2)
+    terms_w = (kr_dag @ pd.dual_weight @ kr).transpose(0, 2, 1).reshape(-1, k2)
+    tau, w = vec(pd.state), vec(pd.dual_weight)
+    shifts = model.shifts.astype(float)
+    ws = view.weights[:, None] * shifts  # e^{u.s_i} s_ij
+    lam = pd.value
+
+    paired = (terms_tau @ w.conj()).real  # <w, K_i tau K_i*>
+    lam_j = ws.T @ paired / pairing
+    value, grad = float(np.log(lam)), lam_j / lam
+    try:
+        bord = lam * np.eye(k2) - to_matrix(view) + np.outer(tau, w.conj()) / pairing
+        tau_k = solve_linear(bord, terms_tau.T @ ws - np.outer(tau, lam_j))
+    except SingularMatrixError:
+        return value, grad, None
+    cross = ((ws.T @ terms_w.conj()) @ tau_k).real  # <w, T_j tau_k>
+    lam_jk = (ws.T @ (shifts * paired[:, None]) + cross + cross.T) / pairing
+    return value, grad, lam_jk / lam - np.outer(lam_j, lam_j) / lam**2
 
 
-def _log_lambda_hessian(model, subspace, u, step=1e-4) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = u.size
-    f0 = log_lambda(model, subspace, u)
-    h = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = step
-        h[i, i] = (
-            log_lambda(model, subspace, u + ei)
-            - 2 * f0
-            + log_lambda(model, subspace, u - ei)
-        ) / step**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ei[i] = step
-            ej = np.zeros(d)
-            ej[j] = step
-            val = (
-                log_lambda(model, subspace, u + ei + ej)
-                - log_lambda(model, subspace, u + ei - ej)
-                - log_lambda(model, subspace, u - ei + ej)
-                + log_lambda(model, subspace, u - ei - ej)
-            ) / (4 * step**2)
-            h[i, j] = h[j, i] = val
-    return h
+def _central_gradient(model: WalkModel, subspace: Subspace, u) -> np.ndarray:
+    step = 1e-6
+    grad = np.zeros(u.size)
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = step
+        grad[j] = (
+            log_lambda(model, subspace, u + e) - log_lambda(model, subspace, u - e)
+        ) / (2 * step)
+    return grad
 
 
 def _clip_to_ball(u: np.ndarray, radius: float) -> np.ndarray:
@@ -285,76 +291,116 @@ def _clip_to_ball(u: np.ndarray, radius: float) -> np.ndarray:
     return u * (radius / norm)
 
 
-def legendre(
-    model: WalkModel, subspace: Subspace, x, u_max: float = U_MAX
-) -> RateEvaluation:
-    """sup over ||u|| <= u_max of x.u - log lambda_u by multi-start damped
-    Newton (finite-difference Hessian, analytic gradient where available).
+def _ascent_1d(evaluate, u_max: float) -> np.ndarray:
+    """Maximizer of a concave f on [-u_max, u_max]; ``evaluate(u)`` returns
+    f, f' and f'' (None where unusable) at the 1-vector u.
 
-    A maximizer pinned to the search boundary with the objective still
-    increasing signals a point outside the closure of the gradient range;
-    the value is then reported as +inf.
+    f' changes sign at most once, so its sign at 0 picks the side; when f'
+    keeps that sign at the end of the side, the maximizer is the end.
+    Otherwise Newton runs inside a bracket [lo, hi] with f'(lo) > 0 > f'(hi),
+    bisecting when f'' is unusable, when a step leaves the bracket, or when
+    steps stop halving (rtsafe of Press et al., Numerical Recipes).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
 
-    def f(u):
-        return float(x @ u) - log_lambda(model, subspace, u)
+    def scalar(u):
+        f, g, h = evaluate(np.array([u]))
+        usable = h is not None and h[0, 0] < 0  # False on NaN
+        return f, float(g[0]), float(h[0, 0]) if usable else None
 
-    def grad_f(u):
-        return x - _log_lambda_grad(model, subspace, u)
+    f, g, h = scalar(0.0)
+    if abs(g) <= GRAD_TOL:
+        return np.zeros(1)
+    side = 1.0 if g > 0 else -1.0
+    end = side * u_max
+    f_end, g_end, _ = scalar(end)
+    if side * g_end > -GRAD_TOL:
+        return np.array([end])
+    (lo, g_lo), (hi, g_hi) = sorted([(0.0, g), (end, g_end)])
+    best = max((f, 0.0), (f_end, end))
+    u, step_old, step = 0.0, hi - lo, hi - lo
+    for _ in range(200):
+        trial = u - g / h if h is not None else np.nan
+        if not lo < trial < hi or abs(trial - u) > 0.5 * abs(step_old):
+            trial = 0.5 * (lo + hi)
+        step_old, step = step, trial - u
+        u = trial
+        f, g, h = scalar(u)
+        if abs(g) <= GRAD_TOL:
+            return np.array([u])
+        best = max(best, (f, u))
+        if g > 0:
+            lo, g_lo = u, g
+        else:
+            hi, g_hi = u, g
+        # (hi - lo)(f'(lo) - f'(hi)) bounds the value lost anywhere in the
+        # bracket; at a kink of log lambda_Q f' never vanishes
+        if (hi - lo) * (g_lo - g_hi) <= BRACKET_TOL:
+            break
+    # Near a kink the two dominant eigenvalues nearly coincide and f' is
+    # unreliable within about sqrt(eps) of it, so keep the best point seen.
+    return np.array([best[1]])
 
-    starts = [np.zeros(d)]
-    for r in (2.0, 8.0, 16.0):
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = r
-            starts.extend([e.copy(), -e])
-    if d > 1:
-        rng = np.random.default_rng(0)
-        for r in (4.0, 12.0):
-            for _ in range(4):
-                v = rng.standard_normal(d)
-                starts.append(_clip_to_ball(v / np.linalg.norm(v) * r, u_max))
 
-    best_u, best_val = np.zeros(d), f(np.zeros(d))
-    for start in starts:
-        u = _clip_to_ball(start, u_max)
-        val = f(u)
-        for _ in range(60):
-            g = grad_f(u)
-            if np.linalg.norm(g) <= 1e-11:
-                break
-            h = _log_lambda_hessian(model, subspace, u)
-            ph = 0.5 * (h + h.T)
+def _ascent_nd(evaluate, d: int, u_max: float) -> np.ndarray:
+    """Damped Newton ascent of a concave f over the ball ||u|| <= u_max, with
+    Armijo backtracking; ``evaluate(u)`` returns f, f' and f'' (or None, when
+    the step falls back to plain ascent)."""
+    u = np.zeros(d)
+    val, g, h = evaluate(u)
+    for _ in range(60):
+        if np.linalg.norm(g) <= GRAD_TOL:
+            break
+        step = g
+        if h is not None:
             mu = 1e-12
             while True:
                 try:
-                    step = np.linalg.solve(ph + mu * np.eye(d), g)
+                    step = np.linalg.solve(-0.5 * (h + h.T) + mu * np.eye(d), g)
                     break
                 except np.linalg.LinAlgError:
                     mu = max(mu * 10, 1e-10)
             if not np.all(np.isfinite(step)) or float(step @ g) <= 0:
                 step = g  # fall back to plain ascent
-            t = 1.0
-            improved = False
-            while t > 2.0**-40:
-                trial = _clip_to_ball(u + t * step, u_max)
-                tval = f(trial)
-                if tval > val + 1e-4 * t * float(g @ step):
-                    u, val = trial, tval
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
+        t = 1.0
+        while t > 2.0**-40:
+            trial = _clip_to_ball(u + t * step, u_max)
+            tval, tg, th = evaluate(trial)
+            if tval > val + 1e-4 * t * float(g @ step):
+                u, val, g, h = trial, tval, tg, th
                 break
-        if val > best_val:
-            best_u, best_val = u, val
+            t *= 0.5
+        else:
+            break
+    return u
+
+
+def legendre(
+    model: WalkModel, subspace: Subspace, x, u_max: float = U_MAX
+) -> RateEvaluation:
+    """sup over ||u|| <= u_max of x.u - log lambda_u by one concave ascent
+    from u = 0 with the analytic gradient and Hessian of log lambda_u.
+
+    log lambda_u is convex, so the objective is concave and its one local
+    maximum is global. A maximizer pinned to the search boundary with the
+    objective still increasing signals a point outside the closure of the
+    gradient range; the value is then reported as +inf.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.size
+
+    def evaluate(u):
+        value, g, h = _log_lambda_derivatives(model, subspace, u)
+        return float(x @ u) - value, x - g, None if h is None else -h
+
+    if d == 1:
+        best_u = _ascent_1d(evaluate, u_max)
+    else:
+        best_u = _ascent_nd(evaluate, d, u_max)
 
     note = ""
-    value = max(best_val, 0.0)
+    value = max(float(x @ best_u) - log_lambda(model, subspace, best_u), 0.0)
     if np.linalg.norm(best_u) >= u_max - 1e-6:
-        slope = float(grad_f(best_u) @ (best_u / np.linalg.norm(best_u)))
+        slope = float(evaluate(best_u)[1] @ (best_u / np.linalg.norm(best_u)))
         if slope > 1e-7:
             value = float("inf")
             note = "objective unbounded on the search region; rate possibly infinite"

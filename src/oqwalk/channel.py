@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -221,8 +222,8 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
         raise NoConvergenceError("empty compression domain")
     m = to_matrix(view)
     try:
-        vals, vecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
+        vals, left, right = scipy.linalg.eig(m, left=True, right=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN
         raise NoConvergenceError(str(exc)) from exc
     idx = _dominant_index(vals)
     lam = vals[idx]
@@ -234,13 +235,13 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
     strictly_below = moduli[moduli < abs(lam) * (1.0 - 1e-9)]
     gap = value - (float(strictly_below[0]) if strictly_below.size else value)
 
-    tau = _positive_eigenvector(m, value, vals, vecs, psd_tol)
+    tau = _positive_eigenvector(m, value, vals, right, psd_tol)
     if tau is None:
         raise NoConvergenceError("no positive dominant eigenvector found")
     tau = tau / float(np.trace(tau).real)
 
-    vals_d, vecs_d = np.linalg.eig(m.conj().T)
-    w = _positive_eigenvector(m.conj().T, value, vals_d, vecs_d, psd_tol)
+    # left eigenvectors of m are eigenvectors of m* for the conjugate values
+    w = _positive_eigenvector(m.conj().T, value, np.conj(vals), left, psd_tol)
     if w is None:
         raise NoConvergenceError("no positive dominant dual eigenvector found")
     w = w / np.linalg.norm(w)

@@ -114,13 +114,13 @@ def step(
     """One jump of the trajectory Markov chain."""
     probs = branch_probabilities(model, state.state)
     total = probs.sum()
-    if total < 1e-14:
+    if not total >= 1e-14:  # also rejects NaN
         raise DegenerateStepError("all branch probabilities vanish")
     cdf = np.cumsum(probs / total)
     j = _pick(cdf, float(rng.random()))
     new = model.kraus[j] @ state.state @ model.kraus[j].conj().T
     tr = float(np.trace(new).real)
-    if tr < 1e-14:
+    if not tr >= 1e-14:
         raise DegenerateStepError("selected branch has vanishing probability")
     return TrajectoryState(
         position=state.position + model.shifts[j],

@@ -207,7 +207,9 @@ def recurrent_space(model: WalkModel) -> Subspace:
     return support_projection(acc / np.trace(acc).real).subspace
 
 
-def _fixed_space_dimension(model: WalkModel, subspace: Subspace) -> int:
+def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
+    """Dimension of the fixed space of the channel compressed to a subspace:
+    its eigenvalues within TOL_FIXED of 1, counted with multiplicity."""
     m = to_matrix(ChannelView(model, subspace))
     vals = np.linalg.eigvals(m)
     return int(np.sum(np.abs(vals - 1.0) <= TOL_FIXED))
@@ -293,7 +295,7 @@ def _all_minimal(model, rec, candidates) -> bool:
         ambient = Subspace(model.local_dim, rec.basis @ cand.basis)
         if enclosure_defect(model, ambient) > TOL_ENCLOSURE:
             return False
-        if _fixed_space_dimension(model, ambient) != 1:
+        if fixed_space_dim(model, ambient) != 1:
             return False
     return True
 

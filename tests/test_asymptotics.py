@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oqwalk import models
+from oqwalk import asymptotics, models
 from oqwalk.asymptotics import (
     GaussianComponent,
     MixtureModel,
@@ -16,11 +18,13 @@ from oqwalk.asymptotics import (
     poisson_solve,
     rate_function,
 )
-from oqwalk.channel import ChannelView, apply, perron
+from oqwalk.channel import ChannelView, WalkModel, apply, perron
 from oqwalk.errors import NotIrreducibleError
 from oqwalk.linalg import Subspace
 from oqwalk.structure import DiagonalState, decompose
 from util import basis_subspace, bernoulli_rate, random_irreducible_model
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def edge_enclosure(dec):
@@ -308,6 +312,96 @@ class TestLegendre:
         for a, b, c in zip(vals, vals[1:], vals[2:]):
             assert b <= 0.5 * (a + c) + 1e-9
         assert min(vals) >= -1e-12
+
+    def test_planar_product_walk(self):
+        # step (a, b) with weight p(a) q(b) and a Pauli as unitary part: the
+        # dual deformed channel maps 1 to sum p(a) q(b) e^{u.s} times 1, so
+        # the rate is the sum of the two Bernoulli rates
+        p, q = 0.7, 0.4
+        paulis = [
+            np.eye(2),
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.diag([1, -1]),
+        ]
+        steps = [(a, b) for a in (-1, 1) for b in (-1, 1)]
+        kraus = [
+            np.sqrt((p if a > 0 else 1 - p) * (q if b > 0 else 1 - q)) * pauli
+            for (a, b), pauli in zip(steps, paulis)
+        ]
+        model = WalkModel(shifts=np.array(steps), kraus=np.array(kraus, dtype=complex))
+        for x in ([0.4, -0.2], [0.3, -0.5], [-0.6, 0.7], [0.9, 0.1], [0.0, -0.85]):
+            ev = legendre(model, Subspace.full(2), x)
+            expected = bernoulli_rate(x[0], p) + bernoulli_rate(x[1], q)
+            assert ev.value == pytest.approx(expected, abs=1e-8)
+
+    def test_kink_of_reachable_compression(self, four_state_half):
+        # log lambda on span{e0, e3} is log max(lam_V, lam_W) (closed forms of
+        # test_reachable_compression_takes_max); the branches cross at
+        # e^{2u} = 13, where their slopes are 0.733 and 0.950
+        sub = basis_subspace(4, [0, 3])
+        kink = 0.5 * np.log(13.0)
+        us = np.append(np.linspace(-4.0, 4.0, 80001), kink)
+        lam_v = (2 / 3) * np.exp(-us) + (1 / 3) * np.exp(us)
+        lam_w = (1 / 8) * np.exp(-us) + (3 / 8) * np.exp(us)
+        log_q = np.log(np.maximum(lam_v, lam_w))
+        for x in (-0.5, 0.2, 0.6, 0.8, 0.9, 0.97):
+            ev = legendre(four_state_half, sub, [x])
+            brute = float(np.max(x * us - log_q))
+            # at the crossing the compression's dominant eigenvalue is
+            # defective, so log_lambda there is accurate to about sqrt(eps)
+            tol = 1e-7 if 0.74 < x < 0.95 else 1e-8
+            assert ev.value == pytest.approx(brute, abs=tol)
+            if 0.74 < x < 0.95:
+                assert abs(ev.maximizer[0] - kink) <= 1e-6
+
+    def test_call_budget(self, monkeypatch, commuting, commuting_dec):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(asymptotics, "log_lambda", counting(log_lambda))
+        monkeypatch.setattr(asymptotics, "perron", counting(perron))
+        for block in commuting_dec.blocks:
+            for x in (-0.95, -0.6, -0.2, 0.4, 0.8):
+                calls.clear()
+                legendre(commuting, block.minimal_enclosures[0], [x])
+                assert 0 < len(calls) <= 20, calls
+
+    @pytest.mark.parametrize(
+        "model_file, state_file",
+        [
+            ("commuting_diag.json", "state_commuting_mixed.json"),
+            ("four_state_p3_sixth.json", "state_four_transient.json"),
+        ],
+    )
+    def test_sweep_dominates_u_grid(self, monkeypatch, model_file, state_file):
+        model = WalkModel.load(FIXTURES / model_file)
+        rho = DiagonalState.load(FIXTURES / state_file)
+        dec = decompose(model, seed=0)
+        seen = []
+
+        def recording(model, subspace, x, *args):
+            ev = legendre(model, subspace, x, *args)
+            seen.append((subspace, ev))
+            return ev
+
+        monkeypatch.setattr(asymptotics, "legendre", recording)
+        for x in np.arange(-0.9, 0.91, 0.05):
+            rate_function(model, dec, rho, [x])
+        us = np.linspace(-asymptotics.U_MAX, asymptotics.U_MAX, 401)
+        log_lam = {}  # per subspace basis: log_lambda on the u grid
+        for subspace, ev in seen:
+            key = subspace.basis.tobytes()
+            if key not in log_lam:
+                log_lam[key] = np.array([log_lambda(model, subspace, [u]) for u in us])
+            grid = float(np.max(ev.point[0] * us - log_lam[key]))
+            assert ev.value >= grid - 1e-12
 
 
 class TestRateFunction:

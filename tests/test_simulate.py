@@ -96,6 +96,12 @@ class TestStep:
         with pytest.raises(DegenerateStepError):
             step(st, two_state, np.random.default_rng(5))
 
+    def test_nan_state_rejected(self, two_state):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        st = TrajectoryState(position=np.array([0]), state=nan)
+        with pytest.raises(DegenerateStepError):
+            step(st, two_state, np.random.default_rng(5))
+
     def test_one_step_marginal(self, two_state):
         tau = np.diag([0.0, 1.0]).astype(complex)
         rho = DiagonalState.single_site(tau)
