@@ -23,7 +23,6 @@ from .errors import (
 from .linalg import (
     Subspace,
     hermitian_part,
-    orthonormal_complement,
     project_subspace,
     solve_linear,
     subspace_intersection,
@@ -34,13 +33,14 @@ from .structure import (
     absorption,
     fixed_space_dim,
     reachable_space,
-    recurrent_space,
+    transient_space,
     weights,
 )
 
 U_MAX = 20.0
 GRAD_TOL = 1e-11  # stationarity of x.u - log lambda_u
 BRACKET_TOL = 1e-14  # bound on the value lost inside a final 1-D bracket
+RATE_TIE = 1e-12  # relative gap under which two block rates count as tied
 NONSMOOTH_CAVEAT = (
     "lower bound holds on exposed points of the rate function only, when the "
     "deformed log spectral radius fails to be smooth"
@@ -96,6 +96,7 @@ class RateEvaluation:
     note: str = ""
     upper_value: float | None = None
     lower_value: float | None = None
+    block_id: str = ""  # per_block entry that gave ``value``
 
 
 def drift(model: WalkModel, tau: np.ndarray) -> np.ndarray:
@@ -436,13 +437,14 @@ def rate_function(
             # block and minimal enclosure share the deformed spectral radius
             ev = legendre(model, block.minimal_enclosures[0], x)
             per_block.append((bid, ev.value, ev.maximizer))
-        best = min(per_block, key=lambda item: item[1])
+        best = _lowest_rate(per_block)
         return RateEvaluation(
             point=x,
             value=best[1],
             maximizer=best[2],
             per_block=per_block,
             label="exact-LDP",
+            block_id=best[0],
         )
 
     reachable = reachable_space(model, rho)
@@ -456,7 +458,7 @@ def rate_function(
             q = project_subspace(p_tilde, reachable)
             ev = legendre(model, q, x)
             per_block.append((f"{bid}/min-{j}", ev.value, ev.maximizer))
-    best = min(per_block, key=lambda item: item[1])
+    best = _lowest_rate(per_block)
     return RateEvaluation(
         point=x,
         value=best[1],
@@ -466,7 +468,20 @@ def rate_function(
         note=NONSMOOTH_CAVEAT,
         upper_value=best[1],
         lower_value=best[1],
+        block_id=best[0],
     )
+
+
+def _lowest_rate(per_block: list) -> tuple:
+    """First (id, value, maximizer) entry within RATE_TIE of the minimum value.
+
+    Minimal enclosures of one multiplicity block share their rate up to
+    roundoff; taking the first of them keeps the reported block id from
+    following the last bits.
+    """
+    low = min(value for _, value, _ in per_block)
+    tol = RATE_TIE * max(abs(low), 1.0)
+    return next(item for item in per_block if item[1] <= low + tol)
 
 
 def lambda_split_check(
@@ -475,7 +490,7 @@ def lambda_split_check(
     """Deformed spectral radius on the reachable compression versus its
     recurrent and transient contributions; checks the max identity."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    tra = orthonormal_complement(recurrent_space(model))
+    tra = transient_space(model)
     p_tilde = absorption(model, enclosure).support().projector()
     reachable = reachable_space(model, rho)
     q = project_subspace(p_tilde, reachable)

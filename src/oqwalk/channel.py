@@ -43,14 +43,21 @@ def unvec(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalkModel:
-    """Shift vectors and Kraus operators of a homogeneous open quantum walk."""
+    """Shift vectors and Kraus operators of a homogeneous open quantum walk.
+
+    A model is immutable: it holds read-only copies of the arrays it was
+    given, so structure computed from it (see ``structure.recurrent_space``
+    and ``structure.absorption``) is stored in ``_memo`` once and never goes
+    stale.
+    """
 
     shifts: np.ndarray  # (v, d) integer lattice vectors
     kraus: np.ndarray  # (v, h, h) complex
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shifts = np.atleast_2d(np.asarray(self.shifts, dtype=int))
-        kraus = np.asarray(self.kraus, dtype=complex)
+        shifts = np.atleast_2d(np.array(self.shifts, dtype=int))
+        kraus = np.array(self.kraus, dtype=complex)
         if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
             raise ValueError("kraus must be a stack of square matrices")
         if shifts.shape[0] != kraus.shape[0]:
@@ -61,8 +68,14 @@ class WalkModel:
             raise ValueError("shift vectors must not all be zero")
         if not np.all(np.isfinite(kraus)):
             raise ValueError("Kraus entries must be finite")
+        shifts.flags.writeable = False
+        kraus.flags.writeable = False
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "kraus", kraus)
+
+    def __reduce__(self):
+        # rebuild through __post_init__: copies stay read-only, the memo empty
+        return (WalkModel, (self.shifts, self.kraus))
 
     @property
     def lattice_dim(self) -> int:

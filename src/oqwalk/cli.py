@@ -5,7 +5,8 @@ command is deterministic given (input files, flags, seed); the only
 non-reproducible output field is the wall time recorded in run manifests.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 model validation failure,
-3 numerical failure.
+3 numerical failure. Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,25 +74,41 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+class InputError(Exception):
+    """An input file or argument that does not parse."""
+
+
+@contextmanager
+def _parsing(what: str):
+    """Report a malformed ``what`` as an InputError (exit code 1)."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_model(path: str) -> WalkModel:
-    return WalkModel.load(path)
+    with _parsing(path):
+        return WalkModel.load(path)
 
 
 def _load_state(path: str) -> DiagonalState:
-    return DiagonalState.load(path)
+    with _parsing(path):
+        return DiagonalState.load(path)
 
 
 def _resolve_tracks(model, decomposition, track_ids):
     """Map block/enclosure ids to absorption-operator matrices."""
     tracks = {}
     for tid in track_ids:
-        if "/min-" in tid:
-            bid, mid = tid.split("/min-")
-            block = decomposition.blocks[decomposition.block_ids().index(bid)]
-            sub = block.minimal_enclosures[int(mid)]
-        else:
-            block = decomposition.blocks[decomposition.block_ids().index(tid)]
-            sub = block.subspace
+        with _parsing(f"enclosure track {tid!r}"):
+            if "/min-" in tid:
+                bid, mid = tid.split("/min-")
+                block = decomposition.blocks[decomposition.block_ids().index(bid)]
+                sub = block.minimal_enclosures[int(mid)]
+            else:
+                block = decomposition.blocks[decomposition.block_ids().index(tid)]
+                sub = block.subspace
         tracks[tid] = structure.absorption(model, sub).matrix
     return tracks
 
@@ -260,11 +278,10 @@ def cmd_compare(args) -> int:
         manifest_path = args.manifest or ens_path.replace("ensemble_", "manifest_").replace(
             ".csv", ".json"
         )
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        with open(pred_path) as fh:
+        with _parsing(manifest_path), open(manifest_path) as fh:
+            n = int(json.load(fh)["steps"])
+        with _parsing(pred_path), open(pred_path) as fh:
             mixture = _mixture_from_payload(json.load(fh))
-        n = int(manifest["steps"])
         if n != mixture.horizon:
             raise HorizonMismatchError(
                 f"ensemble horizon {n} != prediction horizon {mixture.horizon}"
@@ -302,12 +319,11 @@ def cmd_ldp(args) -> int:
         x = t * axis
         ev = asymptotics.rate_function(model, dec, rho, x)
         evaluations.append((t, ev))
-        best_block = min(ev.per_block, key=lambda item: item[1])[0]
         rows.append(
             [_fmt(v) for v in x]
             + [_fmt(ev.value)]
             + [_fmt(v) for v in ev.maximizer]
-            + [best_block, ev.label]
+            + [ev.block_id, ev.label]
         )
     out_dir = Path(args.out)
     _write_csv(out_dir / "rate_sweep.csv", header, rows)
@@ -322,7 +338,7 @@ def cmd_ldp(args) -> int:
             manifest_path = ens_path.replace("ensemble_", "manifest_").replace(
                 ".csv", ".json"
             )
-            with open(manifest_path) as fh:
+            with _parsing(manifest_path), open(manifest_path) as fh:
                 n = int(json.load(fh)["steps"])
             x0, x = _read_ensemble_csv(ens_path)
             disp = x - x0
@@ -416,14 +432,7 @@ def main(argv=None) -> int:
     except NotTracePreservingError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
         return 2
-    except (
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        TypeError,
-        ValueError,
-        HorizonMismatchError,
-    ) as exc:
+    except (OSError, InputError, ValueError, HorizonMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except OQWalkError as exc:

@@ -196,7 +196,29 @@ def recurrent_space(model: WalkModel) -> Subspace:
     Every invariant state lies in the real span of the Hermitian fixed-point
     basis, so the union of supports equals the support of sum_m |x_m|
     (absolute values, since basis elements carry arbitrary sign).
+
+    Memoized per model: the dense eigensolve of the h^2 x h^2 superoperator
+    runs on the first call only, together with the orthogonal complement
+    (see ``transient_space``); later calls return the stored read-only
+    subspace.
     """
+    split = model._memo.get("recurrent")
+    if split is None:
+        rec = _recurrent_support(model)
+        split = (rec, orthonormal_complement(rec))
+        for sub in split:
+            sub.basis.flags.writeable = False
+        model._memo["recurrent"] = split
+    return split[0]
+
+
+def transient_space(model: WalkModel) -> Subspace:
+    """Orthogonal complement of the recurrent space, memoized with it."""
+    recurrent_space(model)
+    return model._memo["recurrent"][1]
+
+
+def _recurrent_support(model: WalkModel) -> Subspace:
     basis = invariant_operators(ChannelView.full(model))
     acc = np.zeros((model.local_dim, model.local_dim), dtype=complex)
     for x in basis:
@@ -223,7 +245,7 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
     one valid choice among infinitely many.
     """
     rec = recurrent_space(model)
-    tra = orthonormal_complement(rec)
+    tra = transient_space(model)
     view_r = ChannelView(model, rec)
     m_r = to_matrix(view_r)
     # fixed points of the dual channel restricted to the recurrent space
@@ -357,7 +379,25 @@ def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     is singular whenever the complement contains another recurrent block.)
     Falls back to averaged dual iteration if the structural solve does not
     verify.
+
+    Memoized per model, keyed by the exact bytes and shape of
+    ``enclosure.basis``: identical inputs return the identical (read-only)
+    operator, and the fallback ``RuntimeWarning`` fires once per (model,
+    enclosure).
     """
+    basis = enclosure.basis
+    key = ("absorption", basis.shape, basis.tobytes())
+    op = model._memo.get(key)
+    if op is None:
+        stored = basis.copy(order="K")
+        stored.flags.writeable = False
+        op = _absorption(model, Subspace(enclosure.ambient_dim, stored))
+        op.matrix.flags.writeable = False
+        model._memo[key] = op
+    return op
+
+
+def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     defect = enclosure_defect(model, enclosure)
     if defect > TOL_ENCLOSURE:
         raise NotAnEnclosureError(f"enclosure defect {defect:.3e}")
@@ -365,9 +405,9 @@ def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     p = enclosure.projector()
     full = ChannelView.full(model)
 
-    rec = recurrent_space(model)
-    tra = orthonormal_complement(rec)
-    w_space = subspace_intersection(tra, orthonormal_complement(enclosure))
+    w_space = subspace_intersection(
+        transient_space(model), orthonormal_complement(enclosure)
+    )
 
     a = None
     if w_space.dim == 0:

@@ -7,6 +7,7 @@ from oqwalk import asymptotics, models
 from oqwalk.asymptotics import (
     GaussianComponent,
     MixtureModel,
+    RateEvaluation,
     clt_mixture,
     diffusion,
     drift,
@@ -437,6 +438,22 @@ class TestRateFunction:
         assert ev.upper_value == ev.value
         assert ev.lower_value == ev.value
         assert "exposed points" in ev.note
+
+    @pytest.mark.parametrize("gap,first", [(4e-16, True), (-4e-16, True), (1e-9, False)])
+    def test_roundoff_tie_picks_first_block(self, monkeypatch, commuting, commuting_dec, gap, first):
+        # two blocks whose rates differ by ``gap``: a roundoff tie goes to the
+        # first entry whichever side of it the last bits fall on
+        values = iter([0.3 + gap, 0.3])
+
+        def fake_legendre(model, subspace, x):
+            return RateEvaluation(point=x, value=next(values), maximizer=np.zeros(1))
+
+        monkeypatch.setattr(asymptotics, "legendre", fake_legendre)
+        rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
+        ev = rate_function(commuting, commuting_dec, rho, [0.1])
+        assert len(ev.per_block) == 2
+        best = ev.per_block[0 if first else 1]
+        assert (ev.block_id, ev.value) == best[:2]
 
 
 class TestLambdaSplit:

@@ -1,4 +1,6 @@
 import json
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -45,6 +47,31 @@ class TestValidate:
         bad = np.array([np.eye(2) * np.nan, np.eye(2)])
         with pytest.raises(ValueError):
             WalkModel(shifts=[[-1], [1]], kraus=bad)
+
+    def test_model_arrays_are_read_only_copies(self):
+        shifts = np.array([[-1], [1]])
+        kraus = np.array([np.eye(2), np.eye(2)], dtype=complex) / np.sqrt(2)
+        model = WalkModel(shifts=shifts, kraus=kraus)
+        with pytest.raises(ValueError):
+            model.kraus[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.shifts[0, 0] = 2
+        # the caller's arrays stay writeable and are not aliased
+        assert kraus.flags.writeable and shifts.flags.writeable
+        assert not np.shares_memory(model.kraus, kraus)
+        assert not np.shares_memory(model.shifts, shifts)
+        kraus[0, 0, 0] = 0.0
+        shifts[0, 0] = 2
+        assert model.kraus[0, 0, 0] == 1 / np.sqrt(2)
+        assert model.shifts[0, 0] == -1
+
+    def test_copies_stay_read_only(self, four_state):
+        for copy in (pickle.loads(pickle.dumps(four_state)), deepcopy(four_state)):
+            assert not copy.kraus.flags.writeable
+            assert not copy.shifts.flags.writeable
+            assert copy._memo == {}
+            np.testing.assert_array_equal(copy.kraus, four_state.kraus)
+            np.testing.assert_array_equal(copy.shifts, four_state.shifts)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oqwalk import structure
 from oqwalk.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -41,6 +42,23 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", "--model", str(bad)]) == 1
+
+    def test_missing_key_is_input_error(self, tmp_path, capsys):
+        data = json.loads(Path(fixture("two_state.json")).read_text())
+        del data["shifts"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--model", str(bad)]) == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_library_type_error_is_not_input_error(self, tmp_path, monkeypatch, capsys):
+        def broken(model, seed=0):
+            raise TypeError("bug inside the library")
+
+        monkeypatch.setattr(structure, "decompose", broken)
+        with pytest.raises(TypeError, match="bug inside the library"):
+            main(["analyze", "--model", fixture("two_state.json"), "--out", str(tmp_path)])
+        assert "input error" not in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -150,6 +168,19 @@ class TestSimulate:
         assert rc == 0
         _, rows = read_csv(tmp_path / "ensemble_n0.csv")
         assert all(r[0] == r[1] for r in rows)
+
+    @pytest.mark.parametrize("track", ["block-7", "block-0/min-7", "block-0/min-x"])
+    def test_unknown_track_is_input_error(self, tmp_path, track):
+        rc = main([
+            "simulate",
+            "--model", fixture("four_state_p3_sixth.json"),
+            "--state", fixture("state_four_transient.json"),
+            "--steps", "5",
+            "--traj", "10",
+            "--enclosure-track", track,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
 
 
 class TestCompare:

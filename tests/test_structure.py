@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from oqwalk import models
+from oqwalk import asymptotics, models
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
 from oqwalk.errors import NotAnEnclosureError
 from oqwalk.linalg import Subspace, orthonormal_complement
@@ -14,6 +16,7 @@ from oqwalk.structure import (
     invariant_operators,
     reachable_space,
     recurrent_space,
+    transient_space,
     weights,
 )
 from util import basis_subspace, random_densities, subspace_angle
@@ -205,6 +208,64 @@ class TestAbsorption:
         tra = orthonormal_complement(recurrent_space(four_state))
         radius = np.max(np.abs(np.linalg.eigvals(to_matrix(ChannelView(four_state, tra)))))
         assert radius < 1 - 1e-9
+
+
+class TestMemo:
+    FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "four_state_p3_sixth.json"
+
+    def test_structure_computed_once_per_model(self, monkeypatch, transient_start):
+        model = WalkModel.load(self.FIXTURE)
+        full = model.local_dim**2
+        solves = []
+
+        def counting(fn):
+            def wrapped(a, *args, **kwargs):
+                if np.shape(a) == (full, full):
+                    solves.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eig", "eigvals"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        dec = decompose(model, seed=0)
+        weights(model, dec, transient_start)
+        asymptotics.clt_mixture(model, dec, transient_start, 50)
+        for block in dec.blocks:
+            for sub in block.minimal_enclosures:
+                asymptotics.lambda_split_check(model, sub, transient_start, [0.3])
+        assert solves == ["eig"]
+        monkeypatch.undo()
+
+        enclosures = [
+            sub for b in dec.blocks for sub in [b.subspace] + b.minimal_enclosures
+        ]
+        fresh = WalkModel.load(self.FIXTURE)
+        np.testing.assert_array_equal(
+            recurrent_space(model).basis, recurrent_space(fresh).basis
+        )
+        np.testing.assert_array_equal(
+            transient_space(model).basis, transient_space(fresh).basis
+        )
+        for sub in enclosures:
+            np.testing.assert_array_equal(
+                absorption(model, sub).matrix, absorption(fresh, sub).matrix
+            )
+
+    def test_repeat_calls_return_stored_read_only_values(self, four_state_dec):
+        model = WalkModel.load(self.FIXTURE)
+        rec = recurrent_space(model)
+        assert recurrent_space(model) is rec
+        assert transient_space(model) is transient_space(model)
+        assert not rec.basis.flags.writeable
+        assert not transient_space(model).basis.flags.writeable
+        sub = four_state_dec.blocks[0].subspace
+        op = absorption(model, sub)
+        assert absorption(model, Subspace(4, sub.basis.copy())) is op
+        assert not op.matrix.flags.writeable
+        assert not op.enclosure.basis.flags.writeable
+        assert sub.basis.flags.writeable
 
 
 class TestReachableSpace:
