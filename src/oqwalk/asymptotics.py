@@ -1,10 +1,12 @@
 """Asymptotic law of the position process: CLT parameters and rate functions.
 
-The drift of a minimal enclosure is the shift average in its invariant state;
-the diffusion matrix comes from the second derivative of the deformed
-spectral radius, evaluated in closed form through the zero-trace solution of
-a Poisson-type equation. Rate functions are Legendre transforms of the log
-spectral radius of the deformed channel compressed to the relevant subspace.
+The drift of a minimal enclosure is the shift average in its invariant state.
+Both the diffusion matrix and the rate functions come from one object, the
+log spectral radius log lambda_u of the deformed channel compressed to a
+subspace: the covariance is its Hessian at u = 0 and a rate function is its
+Legendre transform. One routine (``_PerronCalculus``) differentiates the
+Perron root in closed form, from one Perron pair and one bordered
+Poisson-type solve, for both.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelView, WalkModel, perron, to_matrix, unvec, vec
+from .channel import ChannelView, PerronData, WalkModel, perron, to_matrix, unvec, vec
 from .errors import (
     NoConvergenceError,
     NotIrreducibleError,
@@ -107,11 +109,51 @@ def drift(model: WalkModel, tau: np.ndarray) -> np.ndarray:
     return probs @ model.shifts.astype(float)
 
 
-def _shift_weighted_apply(view: ChannelView, weights_per_term: np.ndarray, sigma):
-    out = np.zeros((view.dim, view.dim), dtype=complex)
-    for w, kr in zip(weights_per_term, view.compressed_kraus):
-        out += w * (kr @ sigma @ kr.conj().T)
-    return out
+class _PerronCalculus:
+    """u-derivatives of the Perron root lam of T_u = to_matrix(view) at view.u.
+
+    With the Perron pair T_u tau = lam tau, w* T_u = lam w*, the pairing
+    p = <w, tau>, and T_j, T_jk the s_j- and s_j s_k-weighted superoperators:
+    lam_j = <w, T_j tau> / p; tau_k solves the bordered Poisson system
+    (lam - T_u + tau w* / p) tau_k = T_k tau - lam_k tau, which also fixes
+    <w, tau_k> = 0; and
+    lam_jk = (<w, T_jk tau> + <w, T_j tau_k> + <w, T_k tau_j>) / p.
+
+    At u = 0 on an enclosure the channel is trace preserving: lam = 1, w is
+    proportional to the identity, tau_k is the zero-trace Poisson solution of
+    the CLT and lam_jk - lam_j lam_k is the covariance of the limit Gaussian.
+    """
+
+    def __init__(self, view: ChannelView, pd: PerronData):
+        self.view, self.lam = view, pd.value
+        self.pairing = float(np.trace(pd.dual_weight @ pd.state).real)
+        if self.pairing <= 1e-10:
+            raise NoConvergenceError("left/right eigenvector pairing degenerate")
+        kr = view.compressed_kraus
+        kr_dag = kr.conj().transpose(0, 2, 1)
+        k2 = view.dim * view.dim
+        # column-major vec of each term: K_i tau K_i* and the dual K_i* W K_i
+        self.terms_tau = (kr @ pd.state @ kr_dag).transpose(0, 2, 1).reshape(-1, k2)
+        self.terms_w = (kr_dag @ pd.dual_weight @ kr).transpose(0, 2, 1).reshape(-1, k2)
+        self.tau, self.w = vec(pd.state), vec(pd.dual_weight)
+        self.shifts = view.model.shifts.astype(float)
+        self.ws = view.weights[:, None] * self.shifts  # e^{u.s_i} s_ij
+        self.paired = (self.terms_tau @ self.w.conj()).real  # <w, K_i tau K_i*>
+        self.lam_j = self.ws.T @ self.paired / self.pairing
+
+    def poisson(self) -> np.ndarray:
+        """The vectorized tau_k as columns, from one bordered solve; raises
+        SingularMatrixError when the dominant eigenvalue is degenerate."""
+        tau, w = self.tau, self.w
+        bord = self.lam * np.eye(tau.size) - to_matrix(self.view)
+        bord += np.outer(tau, w.conj()) / self.pairing
+        return solve_linear(bord, self.terms_tau.T @ self.ws - np.outer(tau, self.lam_j))
+
+    def second(self, tau_k: np.ndarray) -> np.ndarray:
+        """lam_jk from the columns tau_k of ``poisson``."""
+        cross = ((self.ws.T @ self.terms_w.conj()) @ tau_k).real  # <w, T_j tau_k>
+        moment = self.ws.T @ (self.shifts * self.paired[:, None])  # <w, T_jk tau>
+        return (moment + cross + cross.T) / self.pairing
 
 
 def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
@@ -121,9 +163,12 @@ def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
     L'(sigma) = sum_i (u.s_i) K_i sigma K_i*, solves
     (Id - channel)(eta) = L'(tau) - Tr(L'(tau)) tau, Tr(eta) = 0,
     which is uniquely solvable exactly when the restricted channel has a
-    one-dimensional fixed space.
+    one-dimensional fixed space. eta is linear in u: a stack of directions
+    (rows of a (m, d) array) gets its m solutions, shape (m, k, k), from one
+    bordered solve.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    directions = np.atleast_2d(u)
     view = ChannelView(model, enclosure)
     k = view.dim
     if k == 0:
@@ -131,60 +176,40 @@ def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
     if fixed_space_dim(model, enclosure) != 1:
         raise NotIrreducibleError("restricted channel has a degenerate fixed space")
     if k == 1:
-        return np.zeros((1, 1), dtype=complex)
+        etas = np.zeros((len(directions), 1, 1), dtype=complex)
+    else:
+        columns = _PerronCalculus(view, perron(view)).poisson() @ directions.T
+        etas = np.array([hermitian_part(unvec(col)) for col in columns.T])
+        trace = np.max(np.abs(np.trace(etas, axis1=1, axis2=2)))
+        if trace > 1e-10:
+            raise NoConvergenceError(f"trace of Poisson solution {trace:.2e}")
+    return etas if u.ndim == 2 else etas[0]
 
-    tau = perron(view).state
-    us = model.shifts.astype(float) @ u
-    lp_tau = _shift_weighted_apply(view, us, tau)
-    rhs = lp_tau - np.trace(lp_tau) * tau
 
-    s = to_matrix(view)
-    eye = np.eye(k * k)
-    # bordered system: add tau * Tr(.) to pin the zero-trace solution
-    bord = eye - s + np.outer(vec(tau), vec(np.eye(k, dtype=complex)).conj())
-    eta = unvec(solve_linear(bord, vec(rhs)))
-    eta = hermitian_part(eta)
-    if abs(np.trace(eta)) > 1e-10:
-        raise NoConvergenceError(f"trace of Poisson solution {np.trace(eta):.2e}")
-    return eta
+def _clt_derivatives(model: WalkModel, enclosure: Subspace):
+    """lam_j and lam_jk at u = 0 on an irreducible enclosure: the drift m and
+    the second moment D + m m^T of the limit Gaussian."""
+    etas = poisson_solve(model, enclosure, np.eye(model.lattice_dim))
+    view = ChannelView(model, enclosure)
+    calc = _PerronCalculus(view, perron(view))
+    return calc.lam_j, calc.second(np.stack([vec(eta) for eta in etas], axis=1))
 
 
 def lambda_derivatives(model: WalkModel, enclosure: Subspace, u) -> tuple[float, float]:
     """First and second derivative at t=0 of the deformed spectral radius
-    along t -> t*u, computed in closed form from the invariant state and the
-    Poisson solution."""
+    along t -> t*u: the projections m.u and u^T (D + m m^T) u of the drift m
+    and the covariance D (see ``diffusion``)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    view = ChannelView(model, enclosure)
-    tau = perron(view).state
-    us = model.shifts.astype(float) @ u
-    lp_tau = _shift_weighted_apply(view, us, tau)
-    first = float(np.trace(lp_tau).real)
-    eta = poisson_solve(model, enclosure, u)
-    lpp_tau = _shift_weighted_apply(view, us**2, tau)
-    lp_eta = _shift_weighted_apply(view, us, eta)
-    second = float(np.trace(lpp_tau).real) + 2.0 * float(np.trace(lp_eta).real)
-    return first, second
+    m, second_moment = _clt_derivatives(model, enclosure)
+    return float(m @ u), float(u @ second_moment @ u)
 
 
 def diffusion(model: WalkModel, enclosure: Subspace) -> np.ndarray:
-    """Covariance matrix from the quadratic form u -> lambda'' - lambda'^2,
-    recovered by polarization over coordinate directions."""
-    d = model.lattice_dim
-
-    def quad(u):
-        l1, l2 = lambda_derivatives(model, enclosure, u)
-        return l2 - l1 * l1
-
-    cov = np.zeros((d, d))
-    diag = np.zeros(d)
-    for i in range(d):
-        diag[i] = quad(np.eye(d)[i])
-        cov[i, i] = diag[i]
-    for i in range(d):
-        for j in range(i + 1, d):
-            q = quad(np.eye(d)[i] + np.eye(d)[j])
-            cov[i, j] = cov[j, i] = 0.5 * (q - diag[i] - diag[j])
-    return cov
+    """Covariance matrix of the limit Gaussian of an irreducible enclosure:
+    the Hessian lam_jk - lam_j lam_k of log lambda_u at u = 0, from one Perron
+    pair and the Poisson solutions of all coordinate directions."""
+    m, second_moment = _clt_derivatives(model, enclosure)
+    return second_moment - np.outer(m, m)
 
 
 def clt_mixture(
@@ -224,14 +249,8 @@ def log_lambda(model: WalkModel, subspace: Subspace, u) -> float:
 
 
 def _log_lambda_derivatives(model: WalkModel, subspace: Subspace, u):
-    """log lambda_u with its gradient and Hessian, from one Perron pair.
-
-    With T_u = to_matrix(view), its Perron pair T_u tau = lam tau,
-    w* T_u = lam w*, the pairing p = <w, tau>, and T_j, T_jk the s_j- and
-    s_j s_k-weighted superoperators: lam_j = <w, T_j tau> / p; tau_k solves
-    the bordered system (lam - T_u + tau w* / p) tau_k = T_k tau - lam_k tau,
-    which also fixes <w, tau_k> = 0; and
-    lam_jk = (<w, T_jk tau> + <w, T_j tau_k> + <w, T_k tau_j>) / p.
+    """log lambda_u with its gradient and Hessian, from one Perron pair and
+    one bordered solve (see ``_PerronCalculus``).
 
     The Hessian is None when the bordered system is singular (a degenerate
     dominant eigenvalue, as at a kink lam_V = lam_W of a bounds-only
@@ -241,35 +260,16 @@ def _log_lambda_derivatives(model: WalkModel, subspace: Subspace, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     view = ChannelView(model, subspace, u)
     try:
-        pd = perron(view)
-        pairing = float(np.trace(pd.dual_weight @ pd.state).real)
-        if pairing <= 1e-10:
-            raise NoConvergenceError("left/right eigenvector pairing degenerate")
+        calc = _PerronCalculus(view, perron(view))
     except NoConvergenceError:
         value = log_lambda(model, subspace, u)
         return value, _central_gradient(model, subspace, u), None
-
-    kr = view.compressed_kraus
-    kr_dag = kr.conj().transpose(0, 2, 1)
-    k2 = view.dim * view.dim
-    # column-major vec of each term: K_i tau K_i* and the dual K_i* W K_i
-    terms_tau = (kr @ pd.state @ kr_dag).transpose(0, 2, 1).reshape(-1, k2)
-    terms_w = (kr_dag @ pd.dual_weight @ kr).transpose(0, 2, 1).reshape(-1, k2)
-    tau, w = vec(pd.state), vec(pd.dual_weight)
-    shifts = model.shifts.astype(float)
-    ws = view.weights[:, None] * shifts  # e^{u.s_i} s_ij
-    lam = pd.value
-
-    paired = (terms_tau @ w.conj()).real  # <w, K_i tau K_i*>
-    lam_j = ws.T @ paired / pairing
+    lam, lam_j = calc.lam, calc.lam_j
     value, grad = float(np.log(lam)), lam_j / lam
     try:
-        bord = lam * np.eye(k2) - to_matrix(view) + np.outer(tau, w.conj()) / pairing
-        tau_k = solve_linear(bord, terms_tau.T @ ws - np.outer(tau, lam_j))
+        lam_jk = calc.second(calc.poisson())
     except SingularMatrixError:
         return value, grad, None
-    cross = ((ws.T @ terms_w.conj()) @ tau_k).real  # <w, T_j tau_k>
-    lam_jk = (ws.T @ (shifts * paired[:, None]) + cross + cross.T) / pairing
     return value, grad, lam_jk / lam - np.outer(lam_j, lam_j) / lam**2
 
 

@@ -333,7 +333,7 @@ def cmd_ldp(args) -> int:
         lo, hi = (float(tok) for tok in args.interval.split(","))
         in_band = [ev.value for t, ev in evaluations if lo <= t <= hi]
         bound = -min(in_band) if in_band else None
-        decay_rows = []
+        samples = []
         for ens_path in args.ensemble.split(","):
             manifest_path = ens_path.replace("ensemble_", "manifest_").replace(
                 ".csv", ".json"
@@ -341,13 +341,11 @@ def cmd_ldp(args) -> int:
             with _parsing(manifest_path), open(manifest_path) as fh:
                 n = int(json.load(fh)["steps"])
             x0, x = _read_ensemble_csv(ens_path)
-            disp = x - x0
-            values = (disp @ axis) / max(n, 1)
-            freq = float(np.mean((values >= lo) & (values <= hi)))
-            rate = float(np.log(freq) / n) if freq > 0 else float("-inf")
-            decay_rows.append(
-                [str(n), _fmt(rate), _fmt(bound) if bound is not None else ""]
-            )
+            samples.append((n, x - x0))
+        decay_rows = [
+            [str(n), _fmt(rate), _fmt(bound) if bound is not None else ""]
+            for n, rate, bound in empirics.ldp_estimate(samples, (lo, hi), bound, axis)
+        ]
         _write_csv(
             out_dir / "ldp_decay.csv",
             ["n", "log_freq_over_n", "rate_bound"],

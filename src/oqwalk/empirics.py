@@ -202,23 +202,24 @@ def empirical_as_mixture(emp: EmpiricalLaw1D) -> MixtureModel:
 
 
 def ldp_estimate(
-    ensembles: list,
+    samples: list,
     interval: tuple[float, float],
     rate_bound: float | None = None,
     axis=None,
 ) -> list:
     """Empirical decay rates (1/n) log P(displacement/steps in interval).
 
-    Returns (steps, rate, rate_bound) per ensemble; the rate is -inf when no
+    ``samples`` holds one (steps, displacements) pair per ensemble, the
+    displacements an (N, d) array (``TrajectoryEnsemble.displacements``).
+    Returns (steps, rate, rate_bound) per pair; the rate is -inf when no
     trajectory lands in the interval. ``rate_bound`` is carried through as a
     companion column for comparison against the predicted -inf Lambda.
     """
     lo, hi = float(interval[0]), float(interval[1])
     rows = []
-    for ens in ensembles:
-        disp = ens.displacements.astype(float)
+    for n, displacements in samples:
+        disp = np.asarray(displacements, dtype=float)
         a = _resolve_axis(disp.shape[1], axis)
-        n = ens.config.steps
         values = (disp @ a) / max(n, 1)
         freq = float(np.mean((values >= lo) & (values <= hi)))
         rate = np.log(freq) / n if freq > 0 else float("-inf")

@@ -11,14 +11,13 @@ roundoff far below that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     NegativeEigenvalueError,
-    NoConvergenceError,
     NotHermitianError,
     SingularMatrixError,
 )
@@ -86,20 +85,8 @@ class Subspace:
         return Subspace(v.shape[0], q[:, :rank])
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector together with the subspace it projects onto."""
-
-    matrix: np.ndarray
-    subspace: Subspace = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        return self.subspace.dim
-
-
-def support_projection(h: np.ndarray, tol: float = 1e-10) -> Projector:
-    """Projector onto the support (range) of a positive semidefinite matrix.
+def support_projection(h: np.ndarray, tol: float = 1e-10) -> Subspace:
+    """Support (range) of a positive semidefinite matrix, as a subspace.
 
     Eigenvalues above ``tol * ||h||`` count toward the support. Raises
     NotHermitianError / NegativeEigenvalueError when ``h`` is not a valid
@@ -112,52 +99,17 @@ def support_projection(h: np.ndarray, tol: float = 1e-10) -> Projector:
     if w.size and w[0] < -tol * max(scale, 1.0):
         raise NegativeEigenvalueError(f"minimum eigenvalue {w[0]:.3e}")
     keep = w > tol * max(scale, 1.0)
-    sub = Subspace(h.shape[0], v[:, keep])
-    return Projector(sub.projector(), sub)
-
-
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and orthonormal eigenvectors (columns)."""
-    hh = require_hermitian(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(hh)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def eig_dominant(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Dominant eigenvalue with right and left eigenvectors.
-
-    Among eigenvalues tied in modulus, prefers the largest real part, then
-    the smallest |imaginary part|; for channel superoperators this selects
-    the real Perron root rather than a peripheral phase.
-    """
-    m = np.asarray(m, dtype=complex)
-    try:
-        vals, vecs = np.linalg.eig(m)
-        vals_l, vecs_l = np.linalg.eig(m.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-
-    idx = _dominant_index(vals)
-    lam = vals[idx]
-    right = vecs[:, idx]
-    # left eigenvector of m for lam = right eigenvector of m* for conj(lam)
-    jdx = int(np.argmin(np.abs(vals_l - np.conj(lam))))
-    left = vecs_l[:, jdx]
-
-    norm_m = np.linalg.norm(m)
-    if np.linalg.norm(m @ right - lam * right) > 1e-9 * max(norm_m, 1.0):
-        raise NoConvergenceError("dominant right eigenpair residual too large")
-    if np.linalg.norm(m.conj().T @ left - np.conj(lam) * left) > 1e-9 * max(norm_m, 1.0):
-        raise NoConvergenceError("dominant left eigenpair residual too large")
-    return lam, right, left
+    return Subspace(h.shape[0], v[:, keep])
 
 
 def _dominant_index(vals: np.ndarray) -> int:
+    """Index of the dominant eigenvalue. Among eigenvalues tied in modulus,
+    prefers the largest real part, then the smallest |imaginary part|; for
+    channel superoperators this selects the real Perron root rather than a
+    peripheral phase."""
     moduli = np.abs(vals)
     top = float(np.max(moduli))
     tied = np.flatnonzero(moduli >= top * (1.0 - 1e-9))
-    # largest real part, then smallest |imag|
     order = sorted(tied, key=lambda k: (-vals[k].real, abs(vals[k].imag)))
     return int(order[0])
 

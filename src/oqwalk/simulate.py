@@ -14,9 +14,9 @@ The batched step precomputes the effects M_j = L_j* L_j once per run, so the
 branch probabilities p_j = Tr(M_j rho) = Re<M_j, rho> of a whole chunk are
 one real matrix product, O(v h^2) per trajectory. The update then gathers
 each trajectory's chosen L_j and L_j* and applies (L_j rho) L_j* in one
-batched product, with the same association as the scalar ``step``. Uniforms
-are drawn in blocks of ``DRAW_BLOCK`` steps from the chunk's generators;
-consecutive draws continue the same stream, so blocking changes no value.
+batched product. Uniforms are drawn in blocks of ``DRAW_BLOCK`` steps from
+the chunk's generators; consecutive draws continue the same stream, so
+blocking changes no value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import WalkModel
-from .errors import DegenerateStepError, MissingTrackError
+from .errors import DegenerateStepError, MissingTrackError, NumericalDegeneracyError
 from .structure import DiagonalState
 
 CHUNK = 4096
@@ -47,12 +47,6 @@ class SimConfig:
     def __post_init__(self):
         if self.steps < 0 or self.trajectories < 1 or self.y_stride < 1:
             raise ValueError("invalid simulation configuration")
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    position: np.ndarray  # (d,) integers
-    state: np.ndarray  # (h, h) unit-trace positive matrix
 
 
 @dataclass(frozen=True)
@@ -81,53 +75,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def branch_probabilities(model: WalkModel, state: np.ndarray) -> np.ndarray:
-    probs = np.array(
-        [float(np.trace(l @ state @ l.conj().T).real) for l in model.kraus]
-    )
-    return np.clip(probs, 0.0, None)
-
-
-def _pick(cdf_row: np.ndarray, u: float) -> int:
-    j = int(np.searchsorted(cdf_row, u, side="right"))
-    return min(j, len(cdf_row) - 1)
-
-
-def sample_initial(rho: DiagonalState, rng: np.random.Generator) -> TrajectoryState:
-    """Draw the starting site with probability Tr(rho(k)) and normalize."""
-    sites = sorted(rho.entries.keys())
-    traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
-    cdf = np.cumsum(traces)
-    cdf /= cdf[-1]
-    k = _pick(cdf, float(rng.random()))
-    site = sites[k]
-    mat = rho.entries[site]
-    return TrajectoryState(
-        position=np.array(site, dtype=int),
-        state=mat / np.trace(mat).real,
-    )
-
-
-def step(
-    state: TrajectoryState, model: WalkModel, rng: np.random.Generator
-) -> TrajectoryState:
-    """One jump of the trajectory Markov chain."""
-    probs = branch_probabilities(model, state.state)
-    total = probs.sum()
-    if not total >= 1e-14:  # also rejects NaN
-        raise DegenerateStepError("all branch probabilities vanish")
-    cdf = np.cumsum(probs / total)
-    j = _pick(cdf, float(rng.random()))
-    new = model.kraus[j] @ state.state @ model.kraus[j].conj().T
-    tr = float(np.trace(new).real)
-    if not tr >= 1e-14:
-        raise DegenerateStepError("selected branch has vanishing probability")
-    return TrajectoryState(
-        position=state.position + model.shifts[j],
-        state=new / tr,
-    )
-
-
 def _snapshot_steps(steps: int, stride: int) -> np.ndarray:
     marks = sorted(set(range(0, steps + 1, stride)) | {steps})
     return np.array(marks, dtype=int)
@@ -143,7 +90,8 @@ def run(
 
     ``tracks`` maps an id to a Hermitian observable with spectrum in [0, 1]
     (absorption operators, projectors); its expectation in the internal state
-    is recorded every ``y_stride`` steps.
+    is recorded every ``y_stride`` steps. A recorded value outside [0, 1]
+    (beyond 1e-9) raises NumericalDegeneracyError.
     """
     tracks = tracks or {}
     n_traj, n_steps = config.trajectories, config.steps
@@ -199,7 +147,7 @@ def run(
             for tid, op in zip(track_ids, track_ops):
                 vals = np.einsum("ab,nba->n", op, states).real
                 if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
-                    raise ValueError(
+                    raise NumericalDegeneracyError(
                         f"track {tid!r} left [0,1]: range "
                         f"[{vals.min():.3e}, {vals.max():.3e}]"
                     )

@@ -226,7 +226,7 @@ def _recurrent_support(model: WalkModel) -> Subspace:
         acc += (v * np.abs(w)) @ v.conj().T
     if np.linalg.norm(acc) == 0:
         return Subspace.zero(model.local_dim)
-    return support_projection(acc / np.trace(acc).real).subspace
+    return support_projection(acc / np.trace(acc).real)
 
 
 def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
@@ -363,7 +363,7 @@ class AbsorptionOperator:
     matrix: np.ndarray
 
     def support(self) -> Subspace:
-        return support_projection(self.matrix).subspace
+        return support_projection(self.matrix)
 
     def weight(self, state: np.ndarray) -> float:
         return float(np.trace(self.matrix @ state).real)
@@ -474,7 +474,7 @@ def reachable_space(model: WalkModel, rho: DiagonalState) -> Subspace:
     """Smallest enclosure containing the supports of all site matrices."""
     supports = []
     for mat in rho.entries.values():
-        sub = support_projection(mat).subspace
+        sub = support_projection(mat)
         if sub.dim:
             supports.append(sub.basis)
     current = Subspace.from_span(np.hstack(supports))

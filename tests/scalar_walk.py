@@ -1,0 +1,67 @@
+"""One-trajectory-at-a-time reference simulator.
+
+The oracle of the batched engine in ``oqwalk.simulate.run``: fed the same
+per-trajectory stream (``simulate.trajectory_rng``), it draws the same site
+and the same Kraus indices, so positions must agree exactly.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from oqwalk.channel import WalkModel
+from oqwalk.errors import DegenerateStepError
+from oqwalk.structure import DiagonalState
+
+
+@dataclass(frozen=True)
+class TrajectoryState:
+    position: np.ndarray  # (d,) integers
+    state: np.ndarray  # (h, h) unit-trace positive matrix
+
+
+def branch_probabilities(model: WalkModel, state: np.ndarray) -> np.ndarray:
+    probs = np.array(
+        [float(np.trace(l @ state @ l.conj().T).real) for l in model.kraus]
+    )
+    return np.clip(probs, 0.0, None)
+
+
+def _pick(cdf_row: np.ndarray, u: float) -> int:
+    j = int(np.searchsorted(cdf_row, u, side="right"))
+    return min(j, len(cdf_row) - 1)
+
+
+def sample_initial(rho: DiagonalState, rng: np.random.Generator) -> TrajectoryState:
+    """Draw the starting site with probability Tr(rho(k)) and normalize."""
+    sites = sorted(rho.entries.keys())
+    traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
+    cdf = np.cumsum(traces)
+    cdf /= cdf[-1]
+    k = _pick(cdf, float(rng.random()))
+    site = sites[k]
+    mat = rho.entries[site]
+    return TrajectoryState(
+        position=np.array(site, dtype=int),
+        state=mat / np.trace(mat).real,
+    )
+
+
+def step(
+    state: TrajectoryState, model: WalkModel, rng: np.random.Generator
+) -> TrajectoryState:
+    """One jump of the trajectory Markov chain."""
+    probs = branch_probabilities(model, state.state)
+    total = probs.sum()
+    if not total >= 1e-14:  # also rejects NaN
+        raise DegenerateStepError("all branch probabilities vanish")
+    cdf = np.cumsum(probs / total)
+    j = _pick(cdf, float(rng.random()))
+    new = model.kraus[j] @ state.state @ model.kraus[j].conj().T
+    tr = float(np.trace(new).real)
+    if not tr >= 1e-14:
+        raise DegenerateStepError("selected branch has vanishing probability")
+    return TrajectoryState(
+        position=state.position + model.shifts[j],
+        state=new / tr,
+    )

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oqwalk import asymptotics, models
 from oqwalk.asymptotics import (
@@ -171,15 +172,56 @@ class TestDiffusion:
             assert abs(u @ d @ u - (l2 - l1**2)) <= 1e-7
 
     def test_matches_log_lambda_hessian(self, two_state, two_state_dec):
-        sub = two_state_dec.blocks[0].minimal_enclosures[0]
-        d = diffusion(two_state, sub)
+        # a central-difference Hessian of log lambda at u = 0, so planar and
+        # spatial models check the off-diagonal covariance as well
+        cases = [(two_state, two_state_dec.blocks[0].minimal_enclosures[0])]
+        cases += [
+            (random_irreducible_model(seed, local_dim=3, lattice_dim=d), Subspace.full(3))
+            for seed, d in ((5, 2), (6, 3))
+        ]
         h = 1e-3
-        fd = (
-            log_lambda(two_state, sub, [h])
-            - 2 * log_lambda(two_state, sub, [0.0])
-            + log_lambda(two_state, sub, [-h])
-        ) / h**2
-        assert abs(d[0, 0] - fd) <= 1e-5
+        for model, sub in cases:
+            d = model.lattice_dim
+            e = h * np.eye(d)
+            fd = np.array(
+                [
+                    [
+                        log_lambda(model, sub, e[j] + e[k])
+                        - log_lambda(model, sub, e[j] - e[k])
+                        - log_lambda(model, sub, e[k] - e[j])
+                        + log_lambda(model, sub, -e[j] - e[k])
+                        for k in range(d)
+                    ]
+                    for j in range(d)
+                ]
+            ) / (4 * h * h)
+            assert np.max(np.abs(diffusion(model, sub) - fd)) <= 1e-5
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_eigensolve_budget(self, monkeypatch, d):
+        # per call: two Perron pairs, one fixed-space count and one bordered
+        # solve whatever the lattice dimension (no polarization over pairs)
+        model = random_irreducible_model(40 + d, local_dim=3, lattice_dim=d)
+        calls = []
+
+        def counting(fn, name):
+            def wrapped(a, *args, **kwargs):
+                if np.shape(a) == (9, 9):
+                    calls.append(name)
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eig", "eigvals"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name), name))
+        monkeypatch.setattr(
+            asymptotics, "solve_linear", counting(asymptotics.solve_linear, "solve")
+        )
+        diffusion(model, Subspace.full(3))
+        assert calls.count("eig") <= 2
+        assert calls.count("eigvals") <= 1
+        assert calls.count("solve") <= 1
 
 
 class TestMixture:

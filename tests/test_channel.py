@@ -20,7 +20,6 @@ from oqwalk.channel import (
     vec,
 )
 from oqwalk.errors import DimensionMismatchError, NotTracePreservingError
-from oqwalk.linalg import eig_dominant
 from util import basis_subspace, random_densities
 
 
@@ -175,8 +174,7 @@ class TestToMatrix:
             assert np.linalg.norm(direct - via_matrix) <= 1e-10
 
     def test_two_state_dominant_eigenvalue(self, two_state):
-        lam, _, _ = eig_dominant(to_matrix(ChannelView.full(two_state)))
-        assert abs(lam - 1.0) <= 1e-9
+        assert abs(perron(ChannelView.full(two_state)).value - 1.0) <= 1e-9
 
     def test_deformed_construction(self, two_state):
         u = np.array([0.1])

@@ -183,6 +183,29 @@ class TestSimulate:
         assert rc == 1
 
 
+    def test_track_out_of_range_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # an absorption operator scaled past the identity starts the
+        # transient state's track at 4/3
+        real = structure.absorption
+
+        def scaled(model, enclosure):
+            op = real(model, enclosure)
+            return structure.AbsorptionOperator(op.enclosure, 4.0 * op.matrix)
+
+        monkeypatch.setattr(structure, "absorption", scaled)
+        rc = main([
+            "simulate",
+            "--model", fixture("four_state_p3_sixth.json"),
+            "--state", fixture("state_four_transient.json"),
+            "--steps", "5",
+            "--traj", "10",
+            "--enclosure-track", "block-1",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
 class TestCompare:
     def _produce(self, tmp_path, steps="30"):
         base = [

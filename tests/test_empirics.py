@@ -166,7 +166,7 @@ class TestLdpEstimate:
     def test_mass_interval_rate_vanishes(self, two_state):
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         ens = run(two_state, rho, SimConfig(steps=400, trajectories=4000, seed=6))
-        ((n, rate, bound),) = ldp_estimate([ens], (0.2, 0.5))
+        ((n, rate, bound),) = ldp_estimate([(400, ens.displacements)], (0.2, 0.5))
         assert n == 400
         assert abs(rate) <= 0.01
         assert bound is None
@@ -174,7 +174,7 @@ class TestLdpEstimate:
     def test_empty_interval_sentinel(self, two_state):
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         ens = run(two_state, rho, SimConfig(steps=50, trajectories=100, seed=7))
-        ((_, rate, _),) = ldp_estimate([ens], (5.0, 6.0))
+        ((_, rate, _),) = ldp_estimate([(50, ens.displacements)], (5.0, 6.0))
         assert rate == float("-inf")
 
     def test_rare_event_rates_match_enumeration(self, two_state):
@@ -183,11 +183,11 @@ class TestLdpEstimate:
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         horizons = (10, 20, 30)
         trials = 100_000
-        ensembles = [
-            run(two_state, rho, SimConfig(steps=n, trajectories=trials, seed=8))
-            for n in horizons
-        ]
-        rows = ldp_estimate(ensembles, (0.9, 1.0), rate_bound=np.log(2 / 3))
+        samples = []
+        for n in horizons:
+            ens = run(two_state, rho, SimConfig(steps=n, trajectories=trials, seed=8))
+            samples.append((n, ens.displacements))
+        rows = ldp_estimate(samples, (0.9, 1.0), rate_bound=np.log(2 / 3))
         for (n, rate, bound), horizon in zip(rows, horizons):
             ks = np.arange(horizon + 1)
             in_set = (2 * ks - horizon) / horizon >= 0.9 - 1e-12

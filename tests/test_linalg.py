@@ -10,8 +10,7 @@ from oqwalk.errors import (
 )
 from oqwalk.linalg import (
     Subspace,
-    eig_dominant,
-    eig_hermitian,
+    _dominant_index,
     orthonormal_complement,
     solve_linear,
     subspace_intersection,
@@ -30,19 +29,19 @@ def random_psd(seed, dim, rank=None):
 class TestSupportProjection:
     def test_identity(self):
         p = support_projection(np.eye(3, dtype=complex))
-        assert p.rank == 3
-        np.testing.assert_allclose(p.matrix, np.eye(3), atol=1e-12)
+        assert p.dim == 3
+        np.testing.assert_allclose(p.projector(), np.eye(3), atol=1e-12)
 
     def test_rank_one_diagonal(self):
         p = support_projection(np.diag([1.0, 0.0]).astype(complex))
-        assert p.rank == 1
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        assert p.dim == 1
+        np.testing.assert_allclose(p.projector(), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_absorption_shaped_diagonal(self):
         # diag(2*p3, 0, 0, 1) with p3 = 1/6 supports the first and last axes
         h = np.diag([1 / 3, 0.0, 0.0, 1.0]).astype(complex)
-        p = support_projection(h)
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0, 0, 1.0]), atol=1e-12)
+        p = support_projection(h).projector()
+        np.testing.assert_allclose(p, np.diag([1.0, 0, 0, 1.0]), atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -56,75 +55,40 @@ class TestSupportProjection:
     @settings(max_examples=20, deadline=None)
     def test_projector_properties(self, seed, dim):
         h = random_psd(seed, dim, rank=max(1, dim - 1))
-        p = support_projection(h).matrix
+        p = support_projection(h).projector()
         np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         trace_h = np.trace(h).real
         assert np.trace(p @ h).real >= (1 - 1e-8) * trace_h
 
 
-class TestEigHermitian:
-    def test_diagonal(self):
-        w, v = eig_hermitian(np.diag([3.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(w, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-12)
-
-    def test_exchange_symmetry(self):
-        w, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
-
-    def test_reconstruction(self):
-        h = random_psd(5, 4)
-        h = h - 0.3 * np.eye(4)  # indefinite
-        w, v = eig_hermitian(h)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.linalg.norm(rebuilt - h) <= 1e-9 * np.linalg.norm(h)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
-
-    def test_trace_identity(self):
-        h = random_psd(11, 5)
-        w, _ = eig_hermitian(h)
-        tr = np.trace(h).real
-        assert abs(w.sum() - tr) <= 1e-9 * abs(tr) + 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestEigDominant:
+    """Selection of the dominant eigenvalue (``_dominant_index``, used by
+    ``channel.perron``)."""
+
+    @staticmethod
+    def dominant(m):
+        vals = np.linalg.eigvals(m)
+        return vals[_dominant_index(vals)]
+
     def test_diagonal(self):
-        lam, right, left = eig_dominant(np.diag([2.0, 1.0]).astype(complex))
-        assert lam == pytest.approx(2.0)
-        assert abs(right[0]) == pytest.approx(1.0)
-        assert abs(left[0]) == pytest.approx(1.0)
+        assert self.dominant(np.diag([2.0, 1.0]).astype(complex)) == pytest.approx(2.0)
 
     def test_trace_preserving_superoperator(self, two_state):
         from oqwalk.channel import ChannelView, to_matrix
 
-        m = to_matrix(ChannelView.full(two_state))
-        lam, _, _ = eig_dominant(m)
+        lam = self.dominant(to_matrix(ChannelView.full(two_state)))
         assert abs(abs(lam) - 1.0) <= 1e-9
 
     def test_similarity_constructed_spectrum(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal((2, 2)) + 0.5 * np.eye(2)
         m = v @ np.diag([0.5, 0.3]) @ np.linalg.inv(v)
-        lam, _, _ = eig_dominant(m)
-        assert lam == pytest.approx(0.5, abs=1e-10)
+        assert self.dominant(m) == pytest.approx(0.5, abs=1e-10)
 
     def test_tie_break_prefers_real_root(self):
-        # modulus-1 pair {1, -1}: the real positive root wins
-        lam, _, _ = eig_dominant(np.diag([-1.0, 1.0]).astype(complex))
-        assert lam == pytest.approx(1.0)
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        lam, right, left = eig_dominant(m)
-        norm = np.linalg.norm(m)
-        assert np.linalg.norm(m @ right - lam * right) <= 1e-9 * norm
-        assert np.linalg.norm(m.conj().T @ left - np.conj(lam) * left) <= 1e-9 * norm
+        # modulus-1 set {-1, i, 1}: the real positive root wins
+        assert _dominant_index(np.array([-1.0, 1j, 1.0])) == 2
 
 
 class TestSolveLinear:

@@ -9,16 +9,13 @@ from oqwalk.errors import DegenerateStepError, MissingTrackError
 from oqwalk.linalg import orthonormal_complement
 from oqwalk.simulate import (
     SimConfig,
-    TrajectoryState,
-    branch_probabilities,
     classify_absorption,
     martingale_check,
     run,
-    sample_initial,
-    step,
     trajectory_rng,
 )
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
+from scalar_walk import TrajectoryState, branch_probabilities, sample_initial, step
 from util import basis_subspace, random_densities, random_density, random_walk_model
 
 
