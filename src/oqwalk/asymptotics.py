@@ -30,10 +30,11 @@ from .linalg import (
     subspace_intersection,
 )
 from .structure import (
+    TOL_FIXED,
     DiagonalState,
     SpaceDecomposition,
     absorption,
-    fixed_space_dim,
+    fixed_space_dim,  # unused here; perfbench/reducible.py imports it from this module
     reachable_space,
     transient_space,
     weights,
@@ -156,7 +157,25 @@ class _PerronCalculus:
         return (moment + cross + cross.T) / self.pairing
 
 
-def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
+def _enclosure_calculus(model: WalkModel, enclosure: Subspace) -> _PerronCalculus:
+    """Perron calculus at u = 0 of an irreducible enclosure.
+
+    The enclosure is irreducible when exactly one eigenvalue of the
+    restricted channel lies within TOL_FIXED of 1; the spectrum comes from
+    the eigensolve that also gives the Perron pair.
+    """
+    view = ChannelView(model, enclosure)
+    if view.dim == 0:
+        raise NotIrreducibleError("empty enclosure")
+    pd = perron(view)
+    if np.count_nonzero(np.abs(pd.eigenvalues - 1.0) <= TOL_FIXED) != 1:
+        raise NotIrreducibleError("restricted channel has a degenerate fixed space")
+    return _PerronCalculus(view, pd)
+
+
+def poisson_solve(
+    model: WalkModel, enclosure: Subspace, u, *, calculus: _PerronCalculus | None = None
+) -> np.ndarray:
     """Zero-trace eta with (Id - channel)(eta) = shift-weighted drift residue.
 
     Concretely, with the channel restricted to the enclosure and
@@ -165,20 +184,17 @@ def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
     which is uniquely solvable exactly when the restricted channel has a
     one-dimensional fixed space. eta is linear in u: a stack of directions
     (rows of a (m, d) array) gets its m solutions, shape (m, k, k), from one
-    bordered solve.
+    bordered solve. ``calculus`` passes in the enclosure's
+    ``_enclosure_calculus`` when the caller needs its Perron pair as well,
+    so that the pair is computed once.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     directions = np.atleast_2d(u)
-    view = ChannelView(model, enclosure)
-    k = view.dim
-    if k == 0:
-        raise NotIrreducibleError("empty enclosure")
-    if fixed_space_dim(model, enclosure) != 1:
-        raise NotIrreducibleError("restricted channel has a degenerate fixed space")
-    if k == 1:
+    calc = calculus if calculus is not None else _enclosure_calculus(model, enclosure)
+    if calc.view.dim == 1:
         etas = np.zeros((len(directions), 1, 1), dtype=complex)
     else:
-        columns = _PerronCalculus(view, perron(view)).poisson() @ directions.T
+        columns = calc.poisson() @ directions.T
         etas = np.array([hermitian_part(unvec(col)) for col in columns.T])
         trace = np.max(np.abs(np.trace(etas, axis1=1, axis2=2)))
         if trace > 1e-10:
@@ -188,10 +204,10 @@ def poisson_solve(model: WalkModel, enclosure: Subspace, u) -> np.ndarray:
 
 def _clt_derivatives(model: WalkModel, enclosure: Subspace):
     """lam_j and lam_jk at u = 0 on an irreducible enclosure: the drift m and
-    the second moment D + m m^T of the limit Gaussian."""
-    etas = poisson_solve(model, enclosure, np.eye(model.lattice_dim))
-    view = ChannelView(model, enclosure)
-    calc = _PerronCalculus(view, perron(view))
+    the second moment D + m m^T of the limit Gaussian, from one Perron pair
+    and one bordered solve."""
+    calc = _enclosure_calculus(model, enclosure)
+    etas = poisson_solve(model, enclosure, np.eye(model.lattice_dim), calculus=calc)
     return calc.lam_j, calc.second(np.stack([vec(eta) for eta in etas], axis=1))
 
 

@@ -212,13 +212,23 @@ class PerronData:
     """Spectral radius of a (deformed, compressed) channel and its eigenpair.
 
     ``state`` is the positive right eigenvector normalized to unit trace;
-    ``dual_weight`` the positive left eigenvector with unit Frobenius norm.
+    ``dual_weight`` the positive left eigenvector with unit Frobenius norm;
+    ``eigenvalues`` the whole spectrum of the superoperator, from the same
+    eigensolve, with multiplicity.
     """
 
     value: float
     state: np.ndarray
     dual_weight: np.ndarray
-    spectral_gap: float
+    eigenvalues: np.ndarray
+
+    @property
+    def spectral_gap(self) -> float:
+        """``value`` minus the largest eigenvalue modulus strictly below it
+        (0 when every eigenvalue ties with ``value`` in modulus)."""
+        moduli = np.abs(self.eigenvalues)
+        below = moduli[moduli < self.value * (1.0 - 1e-9)]
+        return self.value - float(np.max(below)) if below.size else 0.0
 
 
 def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
@@ -244,10 +254,6 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
         raise NoConvergenceError(f"dominant eigenvalue {lam} is not a positive real")
     value = float(lam.real)
 
-    moduli = np.sort(np.abs(vals))[::-1]
-    strictly_below = moduli[moduli < abs(lam) * (1.0 - 1e-9)]
-    gap = value - (float(strictly_below[0]) if strictly_below.size else value)
-
     tau = _positive_eigenvector(m, value, vals, right, psd_tol)
     if tau is None:
         raise NoConvergenceError("no positive dominant eigenvector found")
@@ -259,7 +265,7 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
         raise NoConvergenceError("no positive dominant dual eigenvector found")
     w = w / np.linalg.norm(w)
 
-    return PerronData(value=value, state=tau, dual_weight=w, spectral_gap=gap)
+    return PerronData(value=value, state=tau, dual_weight=w, eigenvalues=vals)
 
 
 def _positive_eigenvector(m, value, vals, vecs, psd_tol):

@@ -25,6 +25,7 @@ from . import asymptotics, empirics, simulate, structure
 from .channel import WalkModel, validate
 from .errors import (
     HorizonMismatchError,
+    MissingAxisError,
     NotTracePreservingError,
     OQWalkError,
 )
@@ -85,6 +86,17 @@ def _parsing(what: str):
         yield
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"{what}: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_axis(text, dim: int) -> np.ndarray:
+    """The ``--axis`` projection vector for ``dim`` lattice dimensions (by
+    default (1,) when dim = 1). A missing axis for dim > 1, or one with
+    other than ``dim`` components, is an InputError."""
+    axis = _parse_float_list(text) if text else None
+    try:
+        return empirics._resolve_axis(dim, axis)
+    except MissingAxisError as exc:
+        raise InputError(f"--axis: {exc}") from exc
 
 
 def _load_model(path: str) -> WalkModel:
@@ -200,8 +212,8 @@ def _mixture_from_payload(data: dict):
 def cmd_clt(args) -> int:
     model = _load_model(args.model)
     rho = _load_state(args.state)
+    axis = _parse_axis(args.axis, model.lattice_dim)
     dec = structure.decompose(model, seed=args.seed)
-    axis = _parse_float_list(args.axis) if args.axis else None
     out_dir = Path(args.out)
     for n in _parse_int_list(args.steps):
         mixture = asymptotics.clt_mixture(model, dec, rho, n)
@@ -272,7 +284,6 @@ def cmd_compare(args) -> int:
     predictions = args.prediction.split(",")
     if len(ensembles) != len(predictions):
         raise ValueError("need one prediction file per ensemble file")
-    axis = _parse_float_list(args.axis) if args.axis else None
     out_rows = []
     for ens_path, pred_path in zip(ensembles, predictions):
         manifest_path = args.manifest or ens_path.replace("ensemble_", "manifest_").replace(
@@ -288,8 +299,8 @@ def cmd_compare(args) -> int:
             )
         x0, x = _read_ensemble_csv(ens_path)
         disp = x - x0
-        a = empirics._resolve_axis(disp.shape[1], axis)
-        values = (disp @ a) / np.sqrt(n) if n > 0 else disp @ a
+        axis = _parse_axis(args.axis, disp.shape[1])
+        values = (disp @ axis) / np.sqrt(n) if n > 0 else disp @ axis
         law = empirics.EmpiricalLaw1D(samples=values, horizon=n, count=len(values))
         report = empirics.w1_distance(law, mixture, axis)
         out_rows.append([str(n), str(len(values)), _fmt(report.w1), _fmt(report.ks)])
@@ -301,9 +312,9 @@ def cmd_compare(args) -> int:
 def cmd_ldp(args) -> int:
     model = _load_model(args.model)
     rho = _load_state(args.state)
-    dec = structure.decompose(model, seed=args.seed)
     d = model.lattice_dim
-    axis = _parse_float_list(args.axis) if args.axis else empirics._resolve_axis(d, None)
+    axis = _parse_axis(args.axis, d)
+    dec = structure.decompose(model, seed=args.seed)
     grid = _parse_grid(args.grid)
     label = "exact-LDP" if dec.is_recurrent else "bounds-only"
 

@@ -61,10 +61,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
-        p = self.projector()
-        return float(np.linalg.norm(p @ other.basis - other.basis)) <= tol
-
     @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(n, np.eye(n, dtype=complex))

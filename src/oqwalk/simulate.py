@@ -42,7 +42,6 @@ class SimConfig:
     trajectories: int
     seed: int
     y_stride: int = 1
-    record_paths: bool = False
 
     def __post_init__(self):
         if self.steps < 0 or self.trajectories < 1 or self.y_stride < 1:
@@ -56,7 +55,6 @@ class TrajectoryEnsemble:
     final_positions: np.ndarray  # (N, d)
     y_snapshot_steps: np.ndarray  # (S,)
     y_tracks: dict = field(default_factory=dict)  # id -> (N, S)
-    paths: np.ndarray | None = None  # (N, steps+1, d) when recorded
 
     @property
     def displacements(self) -> np.ndarray:
@@ -120,9 +118,6 @@ def run(
     initial = np.empty((n_traj, d), dtype=int)
     final = np.empty((n_traj, d), dtype=int)
     y_out = {t: np.empty((n_traj, len(snap))) for t in track_ids}
-    paths = (
-        np.empty((n_traj, n_steps + 1, d), dtype=int) if config.record_paths else None
-    )
 
     for lo in range(0, n_traj, CHUNK):
         hi = min(lo + CHUNK, n_traj)
@@ -137,8 +132,6 @@ def run(
         states = site_mats[site_idx].copy()
         positions = site_pos[site_idx].copy()
         initial[lo:hi] = positions
-        if paths is not None:
-            paths[lo:hi, 0] = positions
 
         def record(step_index):
             col = snap_set.get(step_index)
@@ -177,8 +170,6 @@ def run(
             positions += shifts[chosen]
             if n % REHERMITIZE_EVERY == 0:
                 states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-            if paths is not None:
-                paths[lo:hi, n] = positions
             record(n)
 
         final[lo:hi] = positions
@@ -189,7 +180,6 @@ def run(
         final_positions=final,
         y_snapshot_steps=snap,
         y_tracks=y_out,
-        paths=paths,
     )
 
 

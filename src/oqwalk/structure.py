@@ -15,7 +15,6 @@ when some fixed-point element has a nonzero off-diagonal part between them.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,18 +371,20 @@ class AbsorptionOperator:
 def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     """Absorption operator of an enclosure.
 
-    Writes the operator as p + B with B supported on the transient part of
-    the orthogonal complement; harmonicity there gives a linear system whose
-    resolvent is invertible because the channel compressed to the transient
-    space has spectral radius < 1. (Solving on the full complement instead
-    is singular whenever the complement contains another recurrent block.)
-    Falls back to averaged dual iteration if the structural solve does not
-    verify.
+    Writes the operator as p + B with B supported on W, the transient part
+    of the orthogonal complement; harmonicity there gives the linear system
+    (Id - dual channel compressed to W)(B) = compressed dual image of p.
+    Its resolvent is invertible: the channel compressed to W is completely
+    positive and trace non-increasing, and W holds no invariant state, so by
+    Perron-Frobenius for positive maps (Evans & Hoegh-Krohn 1978) its
+    spectral radius is < 1. (Solving on the full complement instead is
+    singular whenever the complement contains another recurrent block.)
+    A solve that fails or does not verify raises
+    SingularTransientSystemError.
 
     Memoized per model, keyed by the exact bytes and shape of
     ``enclosure.basis``: identical inputs return the identical (read-only)
-    operator, and the fallback ``RuntimeWarning`` fires once per (model,
-    enclosure).
+    operator.
     """
     basis = enclosure.basis
     key = ("absorption", basis.shape, basis.tobytes())
@@ -409,34 +410,23 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
         transient_space(model), orthonormal_complement(enclosure)
     )
 
-    a = None
-    if w_space.dim == 0:
-        a = p
-    else:
-        m_w = to_matrix(ChannelView(model, w_space))
-        dual_w = m_w.conj().T
-        eye = np.eye(dual_w.shape[0])
-        radius = float(np.max(np.abs(np.linalg.eigvals(dual_w))))
-        if radius < 1.0 - 1e-9:
-            c = w_space.basis
-            rhs = vec(c.conj().T @ apply_dual(full, p) @ c)
-            y = unvec(np.linalg.solve(eye - dual_w, rhs))
-            a = p + c @ y @ c.conj().T
-        else:
-            warnings.warn(
-                "transient-block resolvent is singular; falling back to iteration",
-                RuntimeWarning,
-            )
+    a = p
+    if w_space.dim:
+        dual_w = to_matrix(ChannelView(model, w_space)).conj().T
+        c = w_space.basis
+        rhs = vec(c.conj().T @ apply_dual(full, p) @ c)
+        try:
+            y = unvec(np.linalg.solve(np.eye(dual_w.shape[0]) - dual_w, rhs))
+        except np.linalg.LinAlgError as exc:
+            raise SingularTransientSystemError(str(exc)) from exc
+        a = p + c @ y @ c.conj().T
 
-    if a is not None and _absorption_defect(full, enclosure, a) <= 1e-9:
-        return AbsorptionOperator(enclosure, hermitian_part(a))
-
-    a = _absorption_by_iteration(full, p)
-    if _absorption_defect(full, enclosure, a) <= 1e-6:
-        return AbsorptionOperator(enclosure, hermitian_part(a))
-    raise SingularTransientSystemError(
-        "absorption operator could not be computed to tolerance"
-    )
+    defect = _absorption_defect(full, enclosure, a)
+    if not defect <= 1e-9:  # also catches NaN
+        raise SingularTransientSystemError(
+            f"absorption operator fails its defining properties by {defect:.3e}"
+        )
+    return AbsorptionOperator(enclosure, hermitian_part(a))
 
 
 def _absorption_defect(view, enclosure, a) -> float:
@@ -450,24 +440,6 @@ def _absorption_defect(view, enclosure, a) -> float:
     evals = np.linalg.eigvalsh(hermitian_part(a))
     bounds = max(0.0, float(-np.min(evals)), float(np.max(evals) - 1.0))
     return max(herm, harmonic, split, bounds)
-
-
-def _absorption_by_iteration(view, p, iters: int = 2000):
-    """Dual iterates of the projection, averaged over the tail to quench
-    peripheral oscillation."""
-    x = p.astype(complex)
-    total = np.zeros_like(x)
-    count = 0
-    prev = x
-    for n in range(iters):
-        x = apply_dual(view, x)
-        if n >= iters // 2:
-            total += x
-            count += 1
-        if np.linalg.norm(x - prev) < 1e-13:
-            return x
-        prev = x
-    return total / count
 
 
 def reachable_space(model: WalkModel, rho: DiagonalState) -> Subspace:

@@ -199,8 +199,9 @@ class TestDiffusion:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_eigensolve_budget(self, monkeypatch, d):
-        # per call: two Perron pairs, one fixed-space count and one bordered
-        # solve whatever the lattice dimension (no polarization over pairs)
+        # per call: one eigensolve (the Perron pair, whose spectrum also
+        # serves the irreducibility check) and one bordered solve whatever the
+        # lattice dimension (no polarization over pairs)
         model = random_irreducible_model(40 + d, local_dim=3, lattice_dim=d)
         calls = []
 
@@ -219,8 +220,8 @@ class TestDiffusion:
             asymptotics, "solve_linear", counting(asymptotics.solve_linear, "solve")
         )
         diffusion(model, Subspace.full(3))
-        assert calls.count("eig") <= 2
-        assert calls.count("eigvals") <= 1
+        assert calls.count("eig") == 1
+        assert calls.count("eigvals") == 0
         assert calls.count("solve") <= 1
 
 

@@ -203,6 +203,19 @@ class TestPerron:
         assert np.trace(pd.state).real == pytest.approx(1.0, abs=1e-12)
         assert float(np.min(np.linalg.eigvalsh(pd.state))) >= -1e-10
 
+    def test_spectrum_and_gap(self, irreducible, four_state):
+        view = ChannelView.full(irreducible, u=[0.4])
+        pd = perron(view)
+        expected = np.linalg.eigvals(to_matrix(view))
+        np.testing.assert_allclose(
+            np.sort_complex(pd.eigenvalues), np.sort_complex(expected), atol=1e-12
+        )
+        moduli = np.sort(np.abs(expected))[::-1]
+        assert moduli[1] < pd.value - 1e-6
+        assert pd.spectral_gap == pytest.approx(pd.value - moduli[1], abs=1e-12)
+        # a 1x1 superoperator has no eigenvalue below the Perron root
+        assert perron(ChannelView(four_state, basis_subspace(4, [3]))).spectral_gap == 0.0
+
     def test_restricted_bernoulli_rate(self, two_state):
         sub = basis_subspace(2, [1])
         for u in (-1.0, 0.0, 0.7):

@@ -7,6 +7,8 @@ import pytest
 
 from oqwalk import structure
 from oqwalk.cli import main
+from oqwalk.structure import DiagonalState
+from util import random_irreducible_model
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -90,6 +92,62 @@ class TestAnalyze:
         report = json.loads((tmp_path / "analysis.json").read_text())
         assert report["transient"]["dim"] == 0
         assert sorted(b["multiplicity"] for b in report["blocks"]) == [1, 2]
+
+    def test_unverified_absorption_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(structure, "_absorption_defect", lambda *args: 1.0)
+        rc = main([
+            "analyze",
+            "--model", fixture("four_state_p3_sixth.json"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+class TestAxis:
+    """An --axis with the wrong number of components, or none when d > 1,
+    is an input error."""
+
+    BASE = [
+        "--model", fixture("two_state.json"),
+        "--state", fixture("state_two_recurrent.json"),
+    ]
+
+    def test_clt(self, tmp_path, capsys):
+        rc = main(["clt", *self.BASE, "--steps", "10", "--axis", "1,0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_ldp(self, tmp_path, capsys):
+        rc = main(["ldp", *self.BASE, "--grid=0:0.2:0.1", "--axis", "1,0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_compare(self, tmp_path, capsys):
+        base = [*self.BASE, "--steps", "10", "--out", str(tmp_path)]
+        assert main(["clt", *base]) == 0
+        assert main(["simulate", *base, "--traj", "20"]) == 0
+        capsys.readouterr()
+        rc = main([
+            "compare",
+            "--ensemble", str(tmp_path / "ensemble_n10.csv"),
+            "--prediction", str(tmp_path / "mixture_n10.json"),
+            "--axis", "1,0",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_missing_in_two_dimensions(self, tmp_path, capsys):
+        model, state = tmp_path / "model.json", tmp_path / "state.json"
+        random_irreducible_model(5, local_dim=2, lattice_dim=2).save(model)
+        DiagonalState.single_site(np.eye(2) / 2, site=(0, 0)).save(state)
+        rc = main([
+            "ldp", "--model", str(model), "--state", str(state),
+            "--grid=0:0.2:0.1", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
 
 
 class TestClt:

@@ -203,16 +203,6 @@ class TestRun:
         ens = run(two_state, rho, SimConfig(steps=0, trajectories=50, seed=1))
         assert np.array_equal(ens.final_positions, ens.initial_positions)
 
-    def test_paths_recorded(self, two_state):
-        tau = np.diag([0.0, 1.0]).astype(complex)
-        rho = DiagonalState.single_site(tau)
-        ens = run(
-            two_state, rho, SimConfig(steps=5, trajectories=10, seed=2, record_paths=True)
-        )
-        assert ens.paths.shape == (10, 6, 1)
-        steps_taken = np.abs(np.diff(ens.paths[:, :, 0], axis=1))
-        assert np.all(steps_taken == 1)
-
     def test_initial_track_value(self, four_state_module, transient_rho, edge_absorption):
         ens = run(
             four_state_module,

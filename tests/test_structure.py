@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oqwalk import asymptotics, models
+from oqwalk import asymptotics, models, structure
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
-from oqwalk.errors import NotAnEnclosureError
+from oqwalk.errors import NotAnEnclosureError, SingularTransientSystemError
 from oqwalk.linalg import Subspace, orthonormal_complement
 from oqwalk.structure import (
     DiagonalState,
@@ -203,6 +203,21 @@ class TestAbsorption:
     def test_rejects_non_enclosure(self, four_state):
         with pytest.raises(NotAnEnclosureError):
             absorption(four_state, basis_subspace(4, [0]))
+
+    @pytest.mark.parametrize("failure", ["defect", "solve"])
+    def test_unverified_solve_raises(self, monkeypatch, failure):
+        # a fresh model, so that no memoized operator skips the solve
+        model = models.four_state_family(1 / 6, 1 / 6, 1 / 6)
+        if failure == "defect":
+            monkeypatch.setattr(structure, "_absorption_defect", lambda *args: 1.0)
+        else:
+
+            def singular(*args, **kwargs):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularTransientSystemError):
+            absorption(model, basis_subspace(4, [3]))
 
     def test_transient_compression_strictly_contractive(self, four_state):
         tra = orthonormal_complement(recurrent_space(four_state))
