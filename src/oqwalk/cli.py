@@ -299,6 +299,11 @@ def cmd_compare(args) -> int:
             )
         x0, x = _read_ensemble_csv(ens_path)
         disp = x - x0
+        if any(g.mean_rate.size != disp.shape[1] for _, g in mixture.components):
+            raise InputError(
+                f"{pred_path}: prediction lattice dimension does not match the "
+                f"{disp.shape[1]}-dimensional ensemble {ens_path}"
+            )
         axis = _parse_axis(args.axis, disp.shape[1])
         values = (disp @ axis) / np.sqrt(n) if n > 0 else disp @ axis
         law = empirics.EmpiricalLaw1D(samples=values, horizon=n, count=len(values))

@@ -288,6 +288,31 @@ class TestCompare:
         assert rows[0][0] == "30" and rows[0][1] == "2000"
         assert 0 <= float(rows[0][2]) < 0.5
 
+    def test_lattice_dimension_mismatch(self, tmp_path, capsys):
+        planar = tmp_path / "planar"
+        model, state = tmp_path / "model.json", tmp_path / "state.json"
+        random_irreducible_model(5, local_dim=2, lattice_dim=2).save(model)
+        DiagonalState.single_site(np.eye(2) / 2, site=(0, 0)).save(state)
+        assert main([
+            "simulate", "--model", str(model), "--state", str(state),
+            "--steps", "10", "--traj", "20", "--out", str(planar),
+        ]) == 0
+        assert main([
+            "clt", "--model", fixture("two_state.json"),
+            "--state", fixture("state_two_recurrent.json"),
+            "--steps", "10", "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "compare",
+            "--ensemble", str(planar / "ensemble_n10.csv"),
+            "--prediction", str(tmp_path / "mixture_n10.json"),
+            "--axis", "1,0",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "lattice dimension" in capsys.readouterr().err
+
     def test_horizon_mismatch(self, tmp_path):
         self._produce(tmp_path, steps="30")
         assert main([

@@ -125,6 +125,24 @@ class TestRun:
         assert np.array_equal(a.final_positions, b.final_positions)
         assert np.array_equal(a.initial_positions, b.initial_positions)
 
+    @pytest.mark.parametrize("local_dim", [2, 3, 5, 8])
+    def test_schedule_independence_with_tracks(self, monkeypatch, local_dim):
+        # the last bits of a state must not depend on how many trajectories
+        # share its chunk, so the tracks are compared exactly
+        rng = np.random.default_rng(40 + local_dim)
+        model = random_walk_model(rng, local_dim)
+        rho = DiagonalState.single_site(random_density(rng, local_dim))
+        proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
+        cfg = SimConfig(steps=60, trajectories=120, seed=local_dim, y_stride=7)
+        ensembles = []
+        for chunk in (simulate.CHUNK, 37, 7):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            ensembles.append(run(model, rho, cfg, tracks={"p": proj.astype(complex)}))
+        first = ensembles[0]
+        for other in ensembles[1:]:
+            assert np.array_equal(first.final_positions, other.final_positions)
+            assert np.array_equal(first.y_tracks["p"], other.y_tracks["p"])
+
     def test_matches_scalar_stepping(self, four_state_module, transient_rho):
         cfg = SimConfig(steps=35, trajectories=24, seed=13)
         ens = run(four_state_module, transient_rho, cfg)
@@ -221,6 +239,27 @@ class TestRun:
         )
         track = ens.y_tracks["edge"]
         assert track.min() >= -1e-9 and track.max() <= 1 + 1e-9
+
+
+class TestApplyBranches:
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    def test_matches_plain_product(self, local_dim):
+        rng = np.random.default_rng(50 + local_dim)
+        kraus = random_walk_model(rng, local_dim, lattice_dim=2).kraus
+        states = np.array(random_densities(local_dim, local_dim, 40))
+        chosen = rng.integers(0, 3, 40)  # branch 3 draws no trajectory
+        out = states.copy()
+        simulate._apply_branches(
+            out,
+            chosen,
+            np.ascontiguousarray(kraus.transpose(0, 2, 1)),
+            np.ascontiguousarray(kraus.conj().transpose(0, 2, 1)),
+        )
+        plain = np.array([kraus[j] @ s @ kraus[j].conj().T for j, s in zip(chosen, states)])
+        if local_dim in (4, 8):
+            assert np.array_equal(out, plain)
+        else:
+            np.testing.assert_allclose(out, plain, rtol=0, atol=1e-14)
 
 
 class TestMartingale:
