@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import ChannelView, WalkModel, apply_dual, to_matrix, unvec, vec, perron
 from .errors import (
+    NoConvergenceError,
     NotAnEnclosureError,
     NumericalDegeneracyError,
     SingularTransientSystemError,
@@ -231,9 +232,11 @@ def _recurrent_support(model: WalkModel) -> Subspace:
 def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
     """Dimension of the fixed space of the channel compressed to a subspace:
     its eigenvalues within TOL_FIXED of 1, counted with multiplicity."""
-    m = to_matrix(ChannelView(model, subspace))
-    vals = np.linalg.eigvals(m)
-    return int(np.sum(np.abs(vals - 1.0) <= TOL_FIXED))
+    return _count_fixed(np.linalg.eigvals(to_matrix(ChannelView(model, subspace))))
+
+
+def _count_fixed(eigenvalues: np.ndarray) -> int:
+    return int(np.sum(np.abs(eigenvalues - 1.0) <= TOL_FIXED))
 
 
 def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
@@ -262,7 +265,8 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
         candidates = [
             Subspace(rec.dim, v[:, idx]) for idx in clusters
         ]
-        if _all_minimal(model, rec, candidates):
+        perrons = _minimal_perron(model, rec, candidates)
+        if perrons is not None:
             enclosures_r = candidates
             break
     if enclosures_r is None:
@@ -286,7 +290,7 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
             model.local_dim, np.hstack([m.basis for m in ambient_members])
         )
         rep = ambient_members[0]
-        tau_local = perron(ChannelView(model, rep)).state
+        tau_local = perrons[group[0]].state
         tau = rep.basis @ tau_local @ rep.basis.conj().T
         blocks.append(
             Block(
@@ -311,14 +315,26 @@ def _cluster_eigenvalues(w: np.ndarray) -> list:
     return clusters
 
 
-def _all_minimal(model, rec, candidates) -> bool:
+def _minimal_perron(model, rec, candidates) -> list | None:
+    """Perron data of the channel compressed to each candidate if every
+    candidate is a minimal enclosure (one fixed point), else None.
+
+    One ``eig`` per candidate serves both: the fixed-space dimension is
+    counted in the spectrum that ``perron`` keeps.
+    """
+    perrons = []
     for cand in candidates:
         ambient = Subspace(model.local_dim, rec.basis @ cand.basis)
         if enclosure_defect(model, ambient) > TOL_ENCLOSURE:
-            return False
-        if fixed_space_dim(model, ambient) != 1:
-            return False
-    return True
+            return None
+        try:
+            data = perron(ChannelView(model, ambient))
+        except NoConvergenceError:
+            return None
+        if _count_fixed(data.eigenvalues) != 1:
+            return None
+        perrons.append(data)
+    return perrons
 
 
 def _group_by_connection(enclosures, dual_basis) -> list:

@@ -1,11 +1,14 @@
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from oqwalk import models, simulate
 from oqwalk.channel import ChannelView, WalkModel, apply
-from oqwalk.errors import DegenerateStepError, MissingTrackError
+from oqwalk.cli import main
+from oqwalk.errors import DegenerateStepError, MissingTrackError, NumericalDegeneracyError
 from oqwalk.linalg import orthonormal_complement
 from oqwalk.simulate import (
     SimConfig,
@@ -34,6 +37,52 @@ def transient_rho():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = 1.0
     return DiagonalState.single_site(mat)
+
+
+def force_workers(monkeypatch, workers):
+    """Make every run, however small, split into ``workers`` slices; returns
+    a list that collects the pid of every child forked from now on."""
+    monkeypatch.setattr(simulate, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(simulate, "_available_cores", lambda: workers)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+class FixedDraws:
+    """Generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out=None):
+        if out is None:
+            return self.u
+        out.fill(self.u)
+        return out
+
+
+def cut_model():
+    """Branches (0.05, 0.5, 0.45, 0) on e_0 and (0, 0, 0, 1) on e_1: both
+    basis states are fixed, and on e_0 a uniform beyond the normalized CDF
+    clamps to the empty last branch."""
+    kraus = np.zeros((4, 2, 2), dtype=complex)
+    kraus[:3, 0, 0] = np.sqrt([0.05, 0.5, 0.45])
+    kraus[3, 1, 1] = 1.0
+    return WalkModel(shifts=np.array([[-1], [1], [2], [3]]), kraus=kraus)
+
+
+def draws_from(first, u):
+    """``trajectory_rng`` whose trajectories from index ``first`` on draw ``u``
+    and the others 0.25, which keeps ``cut_model`` on e_0 with branch 1."""
+    return lambda seed, index: FixedDraws(u if index >= first else 0.25)
 
 
 class TestSampleInitial:
@@ -191,27 +240,147 @@ class TestRun:
             "1786c4e9df798376fe8469670723adc5cd9acffc57ae605faee87bc104afbcf6"
         )
 
+    def test_reproducible_digest_two_workers(self, monkeypatch, four_state_module, edge_absorption):
+        forked = force_workers(monkeypatch, 2)
+        self.test_reproducible_digest(monkeypatch, four_state_module, edge_absorption)
+        assert len(forked) == 1
+
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    def test_worker_independence(self, monkeypatch, local_dim):
+        # 2 and 3 slices of 121 trajectories are uneven and end in part-filled
+        # chunks; forked slices must return the caller's bits exactly
+        rng = np.random.default_rng(60 + local_dim)
+        model = random_walk_model(rng, local_dim)
+        rho = DiagonalState(
+            {(0,): 0.5 * random_density(rng, local_dim), (3,): 0.5 * random_density(rng, local_dim)}
+        )
+        proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
+        tracks = {"p": proj.astype(complex), "q": (np.eye(local_dim) - proj).astype(complex)}
+        cfg = SimConfig(steps=45, trajectories=121, seed=local_dim, y_stride=9)
+        monkeypatch.setattr(simulate, "CHUNK", 16)
+        ensembles = []
+        for workers in (1, 2, 3):
+            forked = force_workers(monkeypatch, workers)
+            ensembles.append(run(model, rho, cfg, tracks=tracks))
+            assert len(forked) == workers - 1
+        first = ensembles[0]
+        for other in ensembles[1:]:
+            assert np.array_equal(first.initial_positions, other.initial_positions)
+            assert np.array_equal(first.final_positions, other.final_positions)
+            for tid in tracks:
+                assert np.array_equal(first.y_tracks[tid], other.y_tracks[tid])
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", ["step", "track"])
+    def test_worker_error_reaches_caller(self, monkeypatch, error):
+        # only trajectories 4..7, the second slice, fail; with CHUNK = 4 the
+        # in-process run fails on the same chunk, so the messages must agree
+        e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        if error == "step":
+            expected, rho, tracks = DegenerateStepError, DiagonalState.single_site(e0), {}
+            u = 1.0 - 2.0**-53
+        else:
+            # trajectories drawing 0.75 start on e_1, where the 4x track reads 4
+            expected, rho = NumericalDegeneracyError, DiagonalState({(0,): e0 / 2, (1,): e1 / 2})
+            tracks, u = {"big": 4 * e1}, 0.75
+        cfg = SimConfig(steps=5, trajectories=8, seed=3)
+        monkeypatch.setattr(simulate, "trajectory_rng", draws_from(4, u))
+        monkeypatch.setattr(simulate, "CHUNK", 4)
+        messages = []
+        for workers in (1, 2):
+            forked = force_workers(monkeypatch, workers)
+            with pytest.raises(expected) as caught:
+                run(cut_model(), rho, cfg, tracks=tracks)
+            assert type(caught.value) is expected
+            assert len(forked) == workers - 1
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_exit_code(self, monkeypatch, tmp_path, capsys):
+        cut_model().save(tmp_path / "model.json")
+        DiagonalState.single_site(np.diag([1.0, 0.0]).astype(complex)).save(tmp_path / "state.json")
+        monkeypatch.setattr(simulate, "trajectory_rng", draws_from(4, 1.0 - 2.0**-53))
+        forked = force_workers(monkeypatch, 2)
+        rc = main([
+            "simulate", "--model", str(tmp_path / "model.json"),
+            "--state", str(tmp_path / "state.json"), "--steps", "5", "--traj", "8",
+            "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert rc == 3 and len(forked) == 1
+        assert "selected branch has vanishing probability" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # two processes with a multi-threaded BLAS each oversubscribe the
+        # cores; the caller's thread counts come back after the run
+        blas = simulate._openblas_thread_controls()
+        if not blas:
+            pytest.skip("no OpenBLAS loaded")
+        before = [get() for get, _ in blas]
+        caller = []
+
+        def rng(seed, index):
+            counts = [get() for get, _ in blas]
+            if index >= 4:  # the child's slice reports its counts as an error
+                raise DegenerateStepError(str(counts))
+            caller.append(counts)
+            return FixedDraws(0.25)
+
+        monkeypatch.setattr(simulate, "trajectory_rng", rng)
+        forked = force_workers(monkeypatch, 2)
+        with pytest.raises(DegenerateStepError) as caught:
+            run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 8, 0))
+        assert len(forked) == 1
+        assert str(caught.value) == str([1] * len(blas))
+        assert caller == [[1] * len(blas)] * 4
+        assert [get() for get, _ in blas] == before
+
+    @pytest.mark.parametrize("size", ["analysis_h16", "smoke"])
+    def test_small_runs_stay_in_process(self, monkeypatch, four_state_module, transient_rho, size):
+        def no_fork():
+            raise AssertionError("run forked below PARALLEL_MIN_WORK")
+
+        monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        if size == "analysis_h16":
+            rng = np.random.default_rng(16)
+            model, rho = random_walk_model(rng, 16), DiagonalState.single_site(random_density(rng, 16))
+            cfg = SimConfig(steps=32, trajectories=384, seed=1, y_stride=32)
+        else:  # certify_h4's longer horizon at the benchmark's smoke size
+            model, rho = four_state_module, transient_rho
+            cfg = SimConfig(steps=600, trajectories=256, seed=1, y_stride=50)
+        run(model, rho, cfg)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_available_cores", lambda: 8)
+        assert simulate._worker_count(4096, 600) == 8
+        assert simulate._worker_count(3, 10**6) == 3
+        assert simulate._worker_count(384, 32) == 1
+        assert simulate._worker_count(4096, 0) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        other.start()
+        try:
+            assert simulate._worker_count(4096, 600) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
     def test_vanishing_selected_branch_rejected(self, monkeypatch):
         # on e_0 the branches have probabilities (0.05, 0.5, 0.45, 0); their
         # normalized CDF ends below u, so the draw clamps to the empty last branch
         u = 1.0 - 2.0**-53
-        weights = np.array([0.05, 0.5, 0.45])
-        kraus = np.zeros((4, 2, 2), dtype=complex)
-        kraus[:3, 0, 0] = np.sqrt(weights)
-        kraus[3, 1, 1] = 1.0
-        model = WalkModel(shifts=np.array([[-1], [1], [2], [3]]), kraus=kraus)
+        model = cut_model()
         e0 = np.diag([1.0, 0.0]).astype(complex)
         probs = branch_probabilities(model, e0)
         assert probs[-1] == 0.0 and np.cumsum(probs / probs.sum())[-1] < u
 
-        class FixedDraws:
-            def random(self, out=None):
-                if out is None:
-                    return u
-                out.fill(u)
-                return out
-
-        monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws())
+        monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws(u))
         with pytest.raises(DegenerateStepError):
             run(model, DiagonalState.single_site(e0), SimConfig(steps=3, trajectories=4, seed=0))
 
