@@ -40,8 +40,13 @@ def _basis_json(subspace) -> list:
     return _matrix_json(subspace.basis)
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_horizons(text: str) -> list:
+    """The ``--steps`` horizons, in the order given; an empty list or a
+    negative horizon is an InputError."""
+    horizons = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not horizons or min(horizons) < 0:
+        raise InputError(f"--steps: need horizons n >= 0, got {text!r}")
+    return horizons
 
 
 def _parse_float_list(text: str) -> np.ndarray:
@@ -210,12 +215,13 @@ def _mixture_from_payload(data: dict):
 
 
 def cmd_clt(args) -> int:
+    horizons = _parse_horizons(args.steps)
     model = _load_model(args.model)
     rho = _load_state(args.state)
     axis = _parse_axis(args.axis, model.lattice_dim)
     dec = structure.decompose(model, seed=args.seed)
     out_dir = Path(args.out)
-    for n in _parse_int_list(args.steps):
+    for n in horizons:
         mixture = asymptotics.clt_mixture(model, dec, rho, n)
         _write_json(out_dir / f"mixture_n{n}.json", _mixture_payload(mixture))
         if args.grid:
@@ -233,6 +239,14 @@ def cmd_clt(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    horizons = _parse_horizons(args.steps)
+    config = simulate.SimConfig(
+        steps=max(horizons),
+        trajectories=args.traj,
+        seed=args.seed,
+        y_stride=args.y_stride,
+        horizons=tuple(horizons),
+    )
     model = _load_model(args.model)
     rho = _load_state(args.state)
     track_ids = []
@@ -243,16 +257,12 @@ def cmd_simulate(args) -> int:
         dec = structure.decompose(model, seed=args.seed)
         tracks = _resolve_tracks(model, dec, track_ids)
     out_dir = Path(args.out)
-    for n in _parse_int_list(args.steps):
-        config = simulate.SimConfig(
-            steps=n,
-            trajectories=args.traj,
-            seed=args.seed,
-            y_stride=args.y_stride,
-        )
-        start = time.perf_counter()
-        ensemble = simulate.run(model, rho, config, tracks)
-        wall = time.perf_counter() - start
+    # one run to the longest horizon serves every horizon
+    start = time.perf_counter()
+    full = simulate.run(model, rho, config, tracks)
+    wall = time.perf_counter() - start
+    for n in horizons:
+        ensemble = full.at(n)
         header, rows = simulate.ensemble_to_csv_rows(ensemble)
         _write_csv(out_dir / f"ensemble_n{n}.csv", header, rows)
         _write_json(

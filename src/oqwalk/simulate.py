@@ -10,6 +10,14 @@ and worker counts. The engine advances all trajectories of a chunk in
 lockstep with batched contractions; this changes nothing statistically
 because the streams are per-trajectory.
 
+Horizons: a trajectory consumes its stream the same way at every horizon, so
+the first n steps of a longer run are, bit for bit, the run to n. One run
+therefore serves every horizon: ``SimConfig.horizons`` lists the shorter
+ones, the run keeps the positions at each of them and records the tracks on
+the union of their snapshot grids, and ``TrajectoryEnsemble.at(n)`` returns
+what a run with ``steps=n`` returns. A failure at any step fails the whole
+run, so no horizon's ensemble comes back from it.
+
 Parallel schedule: ``run`` splits the trajectories [0, N) into W contiguous
 slices, one per core the process may run on (``os.sched_getaffinity``, or
 ``os.cpu_count`` where that is missing), at most N. The calling process steps
@@ -52,7 +60,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,10 +81,14 @@ class SimConfig:
     trajectories: int
     seed: int
     y_stride: int = 1
+    # shorter horizons whose ensembles ``TrajectoryEnsemble.at`` cuts from this run
+    horizons: tuple = ()
 
     def __post_init__(self):
         if self.steps < 0 or self.trajectories < 1 or self.y_stride < 1:
             raise ValueError("invalid simulation configuration")
+        if not all(0 <= n <= self.steps for n in self.horizons):
+            raise ValueError(f"horizons must lie in [0, {self.steps}]: {self.horizons}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,31 @@ class TrajectoryEnsemble:
     final_positions: np.ndarray  # (N, d)
     y_snapshot_steps: np.ndarray  # (S,)
     y_tracks: dict = field(default_factory=dict)  # id -> (N, S)
+    horizon_positions: dict = field(default_factory=dict)  # n -> (N, d), n < steps
 
     @property
     def displacements(self) -> np.ndarray:
         return self.final_positions - self.initial_positions
+
+    def at(self, n: int) -> TrajectoryEnsemble:
+        """The ensemble that ``run`` with ``steps=n`` and no horizons returns,
+        bit for bit; ``n`` is ``config.steps`` or one of ``config.horizons``."""
+        cfg = self.config
+        if n == cfg.steps:
+            final = self.final_positions
+        elif n in cfg.horizons:
+            final = self.horizon_positions[n]
+        else:
+            raise ValueError(f"horizon {n} was not recorded by this run")
+        snap = _snapshot_steps(n, cfg.y_stride)
+        cols = np.searchsorted(self.y_snapshot_steps, snap)
+        return TrajectoryEnsemble(
+            config=replace(cfg, steps=n, horizons=()),
+            initial_positions=self.initial_positions,
+            final_positions=final,
+            y_snapshot_steps=snap,
+            y_tracks={t: y[:, cols] for t, y in self.y_tracks.items()},
+        )
 
     def final_track(self, track_id: str) -> np.ndarray:
         if track_id not in self.y_tracks:
@@ -255,6 +288,9 @@ def run(
 ) -> TrajectoryEnsemble:
     """Simulate an ensemble of independent trajectories.
 
+    The run steps to ``config.steps``; on the way it keeps the positions at
+    each of ``config.horizons`` and records the tracks on every horizon's
+    snapshot grid, so that ``.at(n)`` gives each horizon's ensemble.
     ``tracks`` maps an id to a Hermitian observable with spectrum in [0, 1]
     (absorption operators, projectors); its expectation in the internal state
     is recorded every ``y_stride`` steps. A recorded value outside [0, 1]
@@ -263,8 +299,12 @@ def run(
     tracks = tracks or {}
     n_traj, n_steps = config.trajectories, config.steps
     d, h = model.lattice_dim, model.local_dim
-    snap = _snapshot_steps(n_steps, config.y_stride)
-    snap_set = {int(s): i for i, s in enumerate(snap)}
+    # the columns of every horizon's snapshot grid; each horizon is among them
+    snap = np.union1d(
+        _snapshot_steps(n_steps, config.y_stride), np.array(config.horizons, dtype=int)
+    )
+    cuts = {n: np.empty((n_traj, d), dtype=int) for n in set(config.horizons) - {n_steps}}
+    marks = {int(s): (i, cuts.get(int(s))) for i, s in enumerate(snap)}
 
     sites = sorted(rho.entries.keys())
     site_mats = np.array(
@@ -307,9 +347,12 @@ def run(
         initial[lo:hi] = positions
 
         def record(step_index):
-            col = snap_set.get(step_index)
-            if col is None:
+            mark = marks.get(step_index)
+            if mark is None:
                 return
+            col, cut = mark
+            if cut is not None:
+                cut[lo:hi] = positions
             for tid, op in zip(track_ids, track_ops):
                 vals = np.einsum("ab,nba->n", op, states).real
                 if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
@@ -350,7 +393,8 @@ def run(
 
     workers = _worker_count(n_traj, n_steps)
     bounds = [n_traj * k // workers for k in range(workers + 1)]
-    _run_slices(step_slice, bounds, [initial, final] + [y_out[t] for t in track_ids])
+    outputs = [initial, final] + [y_out[t] for t in track_ids] + list(cuts.values())
+    _run_slices(step_slice, bounds, outputs)
 
     return TrajectoryEnsemble(
         config=config,
@@ -358,6 +402,7 @@ def run(
         final_positions=final,
         y_snapshot_steps=snap,
         y_tracks=y_out,
+        horizon_positions=cuts,
     )
 
 
@@ -409,14 +454,15 @@ def ensemble_to_csv_rows(ensemble: TrajectoryEnsemble) -> tuple[list, list]:
         + [f"x_{j + 1}" for j in range(d)]
         + [f"y_{tid}" for tid in track_ids]
     )
-    finals = {tid: ensemble.final_track(tid) for tid in track_ids}
-    rows = []
-    for i in range(ensemble.final_positions.shape[0]):
-        row = [str(int(v)) for v in ensemble.initial_positions[i]]
-        row += [str(int(v)) for v in ensemble.final_positions[i]]
-        row += [repr(float(finals[tid][i])) for tid in track_ids]
-        rows.append(row)
-    return header, rows
+    # whole columns at once: ``tolist`` yields Python ints and floats, whose
+    # str and repr are those of int(v) and float(v)
+    columns = [
+        map(str, col)
+        for pos in (ensemble.initial_positions, ensemble.final_positions)
+        for col in pos.T.tolist()
+    ]
+    columns += [map(repr, ensemble.final_track(tid).tolist()) for tid in track_ids]
+    return header, list(zip(*columns))
 
 
 def run_manifest(

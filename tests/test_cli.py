@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqwalk import structure
+from oqwalk import simulate, structure
 from oqwalk.cli import main
 from oqwalk.structure import DiagonalState
 from util import random_irreducible_model
@@ -226,6 +226,61 @@ class TestSimulate:
         assert rc == 0
         _, rows = read_csv(tmp_path / "ensemble_n0.csv")
         assert all(r[0] == r[1] for r in rows)
+
+    def test_one_run_serves_every_horizon(self, tmp_path, monkeypatch):
+        base = [
+            "simulate",
+            "--model", fixture("four_state_p3_sixth.json"),
+            "--state", fixture("state_four_transient.json"),
+            "--traj", "300",
+            "--seed", "5",
+            "--y-stride", "10",
+            "--enclosure-track", "block-1",
+        ]
+        configs, real = [], simulate.run
+
+        def counting_run(model, rho, config, *args, **kwargs):
+            configs.append(config)
+            return real(model, rho, config, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run", counting_run)
+        assert main(base + ["--steps", "7,40,40", "--out", str(tmp_path / "all")]) == 0
+        assert [c.steps for c in configs] == [40]
+        cut, alone = tmp_path / "all", tmp_path / "one"
+        for n in (7, 40):
+            assert main(base + ["--steps", str(n), "--out", str(alone)]) == 0
+            name = f"ensemble_n{n}.csv"
+            assert (cut / name).read_bytes() == (alone / name).read_bytes()
+            manifests = [json.loads((d / f"manifest_n{n}.json").read_text()) for d in (cut, alone)]
+            for m in manifests:
+                m.pop("wall_time_seconds")
+            assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    def test_empty_horizon_list_is_input_error(self, tmp_path, capsys, command):
+        rc = main([
+            command,
+            "--model", fixture("two_state.json"),
+            "--state", fixture("state_two_recurrent.json"),
+            "--steps", ",",
+            "--out", str(tmp_path / "out"),
+        ] + (["--traj", "10"] if command == "simulate" else []))
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    def test_negative_horizon_writes_nothing(self, tmp_path, capsys, command):
+        rc = main([
+            command,
+            "--model", fixture("two_state.json"),
+            "--state", fixture("state_two_recurrent.json"),
+            "--steps", "5,-3",
+            "--out", str(tmp_path / "out"),
+        ] + (["--traj", "10"] if command == "simulate" else []))
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("track", ["block-7", "block-0/min-7", "block-0/min-x"])
     def test_unknown_track_is_input_error(self, tmp_path, track):

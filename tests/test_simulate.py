@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import threading
@@ -54,6 +55,19 @@ def force_workers(monkeypatch, workers):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forked
+
+
+def assert_same_ensemble(a, b):
+    """Every field of two ensembles is equal, arrays bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), f.name
+            assert all(np.array_equal(x[k], y[k]) for k in x), f.name
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 class FixedDraws:
@@ -271,6 +285,50 @@ class TestRun:
                 assert np.array_equal(first.y_tracks[tid], other.y_tracks[tid])
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    def test_horizon_cuts_match_standalone(self, monkeypatch, local_dim):
+        # with y_stride 9 the horizons 13 and 20 are off the snapshot grid, and
+        # with DRAW_BLOCK 8 the runs that stop there draw part-filled blocks
+        # that the run to 45 draws whole; 37 trajectories end in a part-filled
+        # chunk and split unevenly between two workers
+        monkeypatch.setattr(simulate, "CHUNK", 16)
+        monkeypatch.setattr(simulate, "DRAW_BLOCK", 8)
+        horizons = (0, 13, 20, 20, 45)
+        for lattice_dim in (1, 2):
+            rng = np.random.default_rng(80 + local_dim)
+            model = random_walk_model(rng, local_dim, lattice_dim)
+            far = (3,) + (0,) * (lattice_dim - 1)
+            rho = DiagonalState(
+                {
+                    (0,) * lattice_dim: 0.5 * random_density(rng, local_dim),
+                    far: 0.5 * random_density(rng, local_dim),
+                }
+            )
+            proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
+            tracks = {"p": proj.astype(complex), "q": (np.eye(local_dim) - proj).astype(complex)}
+            cfg = SimConfig(steps=45, trajectories=37, seed=local_dim, y_stride=9, horizons=horizons)
+            force_workers(monkeypatch, 1)
+            alone = {
+                n: run(model, rho, dataclasses.replace(cfg, steps=n, horizons=()), tracks=tracks)
+                for n in horizons
+            }
+            for workers in (1, 2):
+                forked = force_workers(monkeypatch, workers)
+                full = run(model, rho, cfg, tracks=tracks)
+                assert len(forked) == workers - 1
+                for n in horizons:
+                    assert_same_ensemble(full.at(n), alone[n])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_horizons_outside_the_run_rejected(self, four_state_module, transient_rho):
+        for horizons in [(-1,), (3, 11)]:
+            with pytest.raises(ValueError):
+                SimConfig(steps=10, trajectories=4, seed=0, horizons=horizons)
+        ens = run(four_state_module, transient_rho, SimConfig(10, 4, 0, horizons=(3,)))
+        with pytest.raises(ValueError):
+            ens.at(4)
 
     @pytest.mark.parametrize("error", ["step", "track"])
     def test_worker_error_reaches_caller(self, monkeypatch, error):
