@@ -19,6 +19,7 @@ from .channel import ChannelView, PerronData, WalkModel, perron, to_matrix, unve
 from .errors import (
     NoConvergenceError,
     NotIrreducibleError,
+    NumericalDegeneracyError,
     SingularMatrixError,
     SplitIdentityError,
 )
@@ -30,9 +31,9 @@ from .linalg import (
     subspace_intersection,
 )
 from .structure import (
-    TOL_FIXED,
     DiagonalState,
     SpaceDecomposition,
+    _count_fixed,
     absorption,
     fixed_space_dim,  # unused here; perfbench/reducible.py imports it from this module
     reachable_space,
@@ -40,7 +41,8 @@ from .structure import (
     weights,
 )
 
-U_MAX = 20.0
+U_MAX = 20.0  # radius of the ball the Legendre ascent searches
+WEIGHT_FLOOR = 1e-12  # blocks and enclosures of no more weight are left out
 GRAD_TOL = 1e-11  # stationarity of x.u - log lambda_u
 BRACKET_TOL = 1e-14  # bound on the value lost inside a final 1-D bracket
 RATE_TIE = 1e-12  # relative gap under which two block rates count as tied
@@ -61,9 +63,9 @@ class GaussianComponent:
         m = np.atleast_1d(np.asarray(self.mean_rate, dtype=float))
         c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         if np.linalg.norm(c - c.T) > 1e-10:
-            raise ValueError("covariance must be symmetric")
+            raise NumericalDegeneracyError("covariance must be symmetric")
         if float(np.min(np.linalg.eigvalsh(0.5 * (c + c.T)))) < -1e-9:
-            raise ValueError("covariance must be positive semidefinite")
+            raise NumericalDegeneracyError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean_rate", m)
         object.__setattr__(self, "covariance", 0.5 * (c + c.T))
 
@@ -82,9 +84,9 @@ class MixtureModel:
     def __post_init__(self):
         total = sum(w for w, _ in self.components)
         if self.components and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, not 1")
+            raise NumericalDegeneracyError(f"weights sum to {total}, not 1")
         if any(w < -1e-12 for w, _ in self.components):
-            raise ValueError("weights must be nonnegative")
+            raise NumericalDegeneracyError("weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,15 @@ class _PerronCalculus:
 def _enclosure_calculus(model: WalkModel, enclosure: Subspace) -> _PerronCalculus:
     """Perron calculus at u = 0 of an irreducible enclosure.
 
-    The enclosure is irreducible when exactly one eigenvalue of the
-    restricted channel lies within TOL_FIXED of 1; the spectrum comes from
-    the eigensolve that also gives the Perron pair.
+    The enclosure is irreducible when the restricted channel has a
+    one-dimensional fixed space; its spectrum comes from the eigensolve that
+    also gives the Perron pair.
     """
     view = ChannelView(model, enclosure)
     if view.dim == 0:
         raise NotIrreducibleError("empty enclosure")
     pd = perron(view)
-    if np.count_nonzero(np.abs(pd.eigenvalues - 1.0) <= TOL_FIXED) != 1:
+    if _count_fixed(pd.eigenvalues) != 1:
         raise NotIrreducibleError("restricted channel has a degenerate fixed space")
     return _PerronCalculus(view, pd)
 
@@ -233,18 +235,17 @@ def clt_mixture(
     decomposition: SpaceDecomposition,
     rho: DiagonalState,
     horizon: int,
-    weight_floor: float = 1e-12,
 ) -> MixtureModel:
     """Gaussian-mixture prediction for the rescaled displacement at a horizon."""
     block_weights, _ = weights(model, decomposition, rho)
     components = []
     for w, block in zip(block_weights, decomposition.blocks):
-        if w <= weight_floor:
+        if w <= WEIGHT_FLOOR:
             continue
         m = drift(model, block.invariant_state)
         cov = diffusion(model, block.minimal_enclosures[0])
         components.append((w, GaussianComponent(m, cov)))
-    # renormalize away the dropped mass (at most len(blocks) * weight_floor)
+    # renormalize away the dropped mass (at most len(blocks) * WEIGHT_FLOOR)
     total = sum(w for w, _ in components)
     components = [(w / total, g) for w, g in components]
     return MixtureModel(components=components, horizon=horizon)
@@ -308,8 +309,8 @@ def _clip_to_ball(u: np.ndarray, radius: float) -> np.ndarray:
     return u * (radius / norm)
 
 
-def _ascent_1d(evaluate, u_max: float) -> np.ndarray:
-    """Maximizer of a concave f on [-u_max, u_max]; ``evaluate(u)`` returns
+def _ascent_1d(evaluate) -> np.ndarray:
+    """Maximizer of a concave f on [-U_MAX, U_MAX]; ``evaluate(u)`` returns
     f, f' and f'' (None where unusable) at the 1-vector u.
 
     f' changes sign at most once, so its sign at 0 picks the side; when f'
@@ -328,7 +329,7 @@ def _ascent_1d(evaluate, u_max: float) -> np.ndarray:
     if abs(g) <= GRAD_TOL:
         return np.zeros(1)
     side = 1.0 if g > 0 else -1.0
-    end = side * u_max
+    end = side * U_MAX
     f_end, g_end, _ = scalar(end)
     if side * g_end > -GRAD_TOL:
         return np.array([end])
@@ -358,8 +359,8 @@ def _ascent_1d(evaluate, u_max: float) -> np.ndarray:
     return np.array([best[1]])
 
 
-def _ascent_nd(evaluate, d: int, u_max: float) -> np.ndarray:
-    """Damped Newton ascent of a concave f over the ball ||u|| <= u_max, with
+def _ascent_nd(evaluate, d: int) -> np.ndarray:
+    """Damped Newton ascent of a concave f over the ball ||u|| <= U_MAX, with
     Armijo backtracking; ``evaluate(u)`` returns f, f' and f'' (or None, when
     the step falls back to plain ascent)."""
     u = np.zeros(d)
@@ -380,7 +381,7 @@ def _ascent_nd(evaluate, d: int, u_max: float) -> np.ndarray:
                 step = g  # fall back to plain ascent
         t = 1.0
         while t > 2.0**-40:
-            trial = _clip_to_ball(u + t * step, u_max)
+            trial = _clip_to_ball(u + t * step, U_MAX)
             tval, tg, th = evaluate(trial)
             if tval > val + 1e-4 * t * float(g @ step):
                 u, val, g, h = trial, tval, tg, th
@@ -391,10 +392,8 @@ def _ascent_nd(evaluate, d: int, u_max: float) -> np.ndarray:
     return u
 
 
-def legendre(
-    model: WalkModel, subspace: Subspace, x, u_max: float = U_MAX
-) -> RateEvaluation:
-    """sup over ||u|| <= u_max of x.u - log lambda_u by one concave ascent
+def legendre(model: WalkModel, subspace: Subspace, x) -> RateEvaluation:
+    """sup over ||u|| <= U_MAX of x.u - log lambda_u by one concave ascent
     from u = 0 with the analytic gradient and Hessian of log lambda_u.
 
     log lambda_u is convex, so the objective is concave and its one local
@@ -409,14 +408,11 @@ def legendre(
         value, g, h = _log_lambda_derivatives(model, subspace, u)
         return float(x @ u) - value, x - g, None if h is None else -h
 
-    if d == 1:
-        best_u = _ascent_1d(evaluate, u_max)
-    else:
-        best_u = _ascent_nd(evaluate, d, u_max)
+    best_u = _ascent_1d(evaluate) if d == 1 else _ascent_nd(evaluate, d)
 
     note = ""
     value = max(float(x @ best_u) - log_lambda(model, subspace, best_u), 0.0)
-    if np.linalg.norm(best_u) >= u_max - 1e-6:
+    if np.linalg.norm(best_u) >= U_MAX - 1e-6:
         slope = float(evaluate(best_u)[1] @ (best_u / np.linalg.norm(best_u)))
         if slope > 1e-7:
             value = float("inf")
@@ -448,7 +444,7 @@ def rate_function(
         for bid, w, block in zip(
             decomposition.block_ids(), block_weights, decomposition.blocks
         ):
-            if w <= 1e-12:
+            if w <= WEIGHT_FLOOR:
                 continue
             # block and minimal enclosure share the deformed spectral radius
             ev = legendre(model, block.minimal_enclosures[0], x)
@@ -468,7 +464,7 @@ def rate_function(
         decomposition.block_ids(), enclosure_weights, decomposition.blocks
     ):
         for j, (w, sub) in enumerate(zip(row, block.minimal_enclosures)):
-            if w <= 1e-12:
+            if w <= WEIGHT_FLOOR:
                 continue
             p_tilde = absorption(model, sub).support().projector()
             q = project_subspace(p_tilde, reachable)

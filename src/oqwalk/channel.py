@@ -29,6 +29,23 @@ from .errors import (
 from .linalg import Subspace, _dominant_index, hermitian_part
 
 TOL_TRACE_PRESERVING = 1e-9
+TOL_PSD = 1e-8  # negative eigenvalue and trace a Perron vector may carry
+
+
+def matrix_to_json(a) -> list:
+    """Complex array as nested lists, each entry a [re, im] pair: the one
+    matrix encoding of every JSON file oqwalk reads or writes."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def matrix_from_json(data) -> np.ndarray:
+    """Inverse of ``matrix_to_json``; ValueError when an entry is not a
+    [re, im] pair of numbers."""
+    pairs = np.array(data, dtype=float)
+    if pairs.ndim < 2 or pairs.shape[-1] != 2:
+        raise ValueError("complex entries must be [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -97,19 +114,13 @@ class WalkModel:
         return {
             "lattice_dim": self.lattice_dim,
             "shifts": self.shifts.tolist(),
-            "kraus": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in l]
-                for l in self.kraus
-            ],
+            "kraus": matrix_to_json(self.kraus),
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "WalkModel":
         shifts = np.asarray(data["shifts"], dtype=int)
-        kraus = np.asarray(
-            [[[complex(re, im) for re, im in row] for row in l] for l in data["kraus"]]
-        )
-        model = WalkModel(shifts=shifts, kraus=kraus)
+        model = WalkModel(shifts=shifts, kraus=matrix_from_json(data["kraus"]))
         if model.lattice_dim != int(data["lattice_dim"]):
             raise ValueError("lattice_dim inconsistent with shift vectors")
         return model
@@ -231,7 +242,7 @@ class PerronData:
         return self.value - float(np.max(below)) if below.size else 0.0
 
 
-def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
+def perron(view: ChannelView) -> PerronData:
     """Perron data of the deformed compressed channel.
 
     Dense eigendecomposition of the superoperator; ties in modulus resolve
@@ -254,13 +265,13 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
         raise NoConvergenceError(f"dominant eigenvalue {lam} is not a positive real")
     value = float(lam.real)
 
-    tau = _positive_eigenvector(m, value, vals, right, psd_tol)
+    tau = _positive_eigenvector(m, value, vals, right)
     if tau is None:
         raise NoConvergenceError("no positive dominant eigenvector found")
     tau = tau / float(np.trace(tau).real)
 
     # left eigenvectors of m are eigenvectors of m* for the conjugate values
-    w = _positive_eigenvector(m.conj().T, value, np.conj(vals), left, psd_tol)
+    w = _positive_eigenvector(m.conj().T, value, np.conj(vals), left)
     if w is None:
         raise NoConvergenceError("no positive dominant dual eigenvector found")
     w = w / np.linalg.norm(w)
@@ -268,7 +279,7 @@ def perron(view: ChannelView, psd_tol: float = 1e-8) -> PerronData:
     return PerronData(value=value, state=tau, dual_weight=w, eigenvalues=vals)
 
 
-def _positive_eigenvector(m, value, vals, vecs, psd_tol):
+def _positive_eigenvector(m, value, vals, vecs):
     """PSD eigenvector of m for the (real, dominant) eigenvalue ``value``."""
     k = int(round(np.sqrt(m.shape[0])))
     scale = max(np.linalg.norm(m), 1.0)
@@ -282,9 +293,9 @@ def _positive_eigenvector(m, value, vals, vecs, psd_tol):
         t = t / norm
         if np.linalg.norm(unvec(m @ vec(t)) - value * t) > 1e-9 * scale:
             return None
-        if float(np.min(np.linalg.eigvalsh(t))) < -psd_tol:
+        if float(np.min(np.linalg.eigvalsh(t))) < -TOL_PSD:
             return None
-        if float(np.trace(t).real) <= psd_tol:
+        if float(np.trace(t).real) <= TOL_PSD:
             return None
         return t
 

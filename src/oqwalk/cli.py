@@ -17,27 +17,21 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, empirics, simulate, structure
-from .channel import WalkModel, validate
+from .channel import WalkModel, matrix_to_json, validate
 from .errors import (
     HorizonMismatchError,
     MissingAxisError,
     NotTracePreservingError,
+    NumericalDegeneracyError,
     OQWalkError,
 )
 from .structure import DiagonalState
-
-
-def _matrix_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def _basis_json(subspace) -> list:
-    return _matrix_json(subspace.basis)
 
 
 def _parse_horizons(text: str) -> list:
@@ -86,10 +80,12 @@ class InputError(Exception):
 
 @contextmanager
 def _parsing(what: str):
-    """Report a malformed ``what`` as an InputError (exit code 1)."""
+    """Report a malformed ``what`` as an InputError (exit code 1); that
+    includes numbers that fail a library check, such as a prediction file
+    whose covariance is not positive semidefinite."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, NumericalDegeneracyError) as exc:
         raise InputError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -153,8 +149,8 @@ def cmd_analyze(args) -> int:
     report = {
         "local_dim": model.local_dim,
         "lattice_dim": model.lattice_dim,
-        "recurrent": {"dim": dec.recurrent.dim, "basis": _basis_json(dec.recurrent)},
-        "transient": {"dim": dec.transient.dim, "basis": _basis_json(dec.transient)},
+        "recurrent": {"dim": dec.recurrent.dim, "basis": matrix_to_json(dec.recurrent.basis)},
+        "transient": {"dim": dec.transient.dim, "basis": matrix_to_json(dec.transient.basis)},
         "blocks": [],
     }
     for bid, block in zip(dec.block_ids(), dec.blocks):
@@ -164,12 +160,12 @@ def cmd_analyze(args) -> int:
                 "id": bid,
                 "dim": block.subspace.dim,
                 "multiplicity": block.multiplicity,
-                "basis": _basis_json(block.subspace),
+                "basis": matrix_to_json(block.subspace.basis),
                 "minimal_enclosures": [
-                    _basis_json(sub) for sub in block.minimal_enclosures
+                    matrix_to_json(sub.basis) for sub in block.minimal_enclosures
                 ],
-                "invariant_state": _matrix_json(block.invariant_state),
-                "absorption": _matrix_json(absorb.matrix),
+                "invariant_state": matrix_to_json(block.invariant_state),
+                "absorption": matrix_to_json(absorb.matrix),
             }
         )
     if args.state:
@@ -220,9 +216,11 @@ def cmd_clt(args) -> int:
     rho = _load_state(args.state)
     axis = _parse_axis(args.axis, model.lattice_dim)
     dec = structure.decompose(model, seed=args.seed)
+    # the components do not depend on the horizon: compute them once
+    limit = asymptotics.clt_mixture(model, dec, rho, horizons[0])
     out_dir = Path(args.out)
     for n in horizons:
-        mixture = asymptotics.clt_mixture(model, dec, rho, n)
+        mixture = replace(limit, horizon=n)
         _write_json(out_dir / f"mixture_n{n}.json", _mixture_payload(mixture))
         if args.grid:
             xs = _parse_grid(args.grid)
@@ -273,20 +271,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_ensemble_csv(path: str):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    x0_cols = [i for i, name in enumerate(header) if name.startswith("x0_")]
-    x_cols = [
-        i
-        for i, name in enumerate(header)
-        if name.startswith("x_") and not name.startswith("x0_")
-    ]
-    x0 = np.array([[float(r[i]) for i in x0_cols] for r in rows])
-    x = np.array([[float(r[i]) for i in x_cols] for r in rows])
-    return x0, x
+def _read_ensemble(path: str, manifest: str | None = None) -> tuple[int, np.ndarray]:
+    """Horizon and (N, d) displacements of an ``ensemble_n<n>.csv`` that
+    ``simulate`` wrote; the horizon comes from ``manifest``, by default the
+    ``manifest_n<n>.json`` written beside it."""
+    if not manifest:
+        csv_path = Path(path)
+        name = csv_path.name.replace("ensemble_", "manifest_")
+        manifest = csv_path.with_name(name).with_suffix(".json")
+    with _parsing(manifest), open(manifest) as fh:
+        steps = int(json.load(fh)["steps"])
+    with _parsing(path):
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+            rows = fh.read().splitlines()
+        if not rows:
+            raise ValueError("no trajectories")
+        x0 = [i for i, name in enumerate(header) if name.startswith("x0_")]
+        x = [i for i, name in enumerate(header) if name.startswith("x_")]
+        positions = np.loadtxt(rows, delimiter=",", usecols=x0 + x, ndmin=2)
+    return steps, positions[:, len(x0) :] - positions[:, : len(x0)]
 
 
 def cmd_compare(args) -> int:
@@ -294,21 +298,17 @@ def cmd_compare(args) -> int:
     predictions = args.prediction.split(",")
     if len(ensembles) != len(predictions):
         raise ValueError("need one prediction file per ensemble file")
+    if args.manifest and len(ensembles) > 1:
+        raise InputError("--manifest gives the horizon of one ensemble; pass one")
     out_rows = []
     for ens_path, pred_path in zip(ensembles, predictions):
-        manifest_path = args.manifest or ens_path.replace("ensemble_", "manifest_").replace(
-            ".csv", ".json"
-        )
-        with _parsing(manifest_path), open(manifest_path) as fh:
-            n = int(json.load(fh)["steps"])
+        n, disp = _read_ensemble(ens_path, args.manifest)
         with _parsing(pred_path), open(pred_path) as fh:
             mixture = _mixture_from_payload(json.load(fh))
         if n != mixture.horizon:
             raise HorizonMismatchError(
                 f"ensemble horizon {n} != prediction horizon {mixture.horizon}"
             )
-        x0, x = _read_ensemble_csv(ens_path)
-        disp = x - x0
         if any(g.mean_rate.size != disp.shape[1] for _, g in mixture.components):
             raise InputError(
                 f"{pred_path}: prediction lattice dimension does not match the "
@@ -316,7 +316,7 @@ def cmd_compare(args) -> int:
             )
         axis = _parse_axis(args.axis, disp.shape[1])
         values = (disp @ axis) / np.sqrt(n) if n > 0 else disp @ axis
-        law = empirics.EmpiricalLaw1D(samples=values, horizon=n, count=len(values))
+        law = empirics.EmpiricalLaw1D(samples=values, horizon=n)
         report = empirics.w1_distance(law, mixture, axis)
         out_rows.append([str(n), str(len(values)), _fmt(report.w1), _fmt(report.ks)])
         print(f"n={n}: W1={report.w1:.5f} KS={report.ks:.5f}")
@@ -331,7 +331,6 @@ def cmd_ldp(args) -> int:
     axis = _parse_axis(args.axis, d)
     dec = structure.decompose(model, seed=args.seed)
     grid = _parse_grid(args.grid)
-    label = "exact-LDP" if dec.is_recurrent else "bounds-only"
 
     header = (
         [f"x_{j + 1}" for j in range(d)]
@@ -353,24 +352,17 @@ def cmd_ldp(args) -> int:
         )
     out_dir = Path(args.out)
     _write_csv(out_dir / "rate_sweep.csv", header, rows)
+    label = evaluations[0][1].label if evaluations else "empty grid"
     print(f"wrote rate_sweep.csv ({label}, {len(rows)} points)")
 
     if args.ensemble and args.interval:
         lo, hi = (float(tok) for tok in args.interval.split(","))
         in_band = [ev.value for t, ev in evaluations if lo <= t <= hi]
-        bound = -min(in_band) if in_band else None
-        samples = []
-        for ens_path in args.ensemble.split(","):
-            manifest_path = ens_path.replace("ensemble_", "manifest_").replace(
-                ".csv", ".json"
-            )
-            with _parsing(manifest_path), open(manifest_path) as fh:
-                n = int(json.load(fh)["steps"])
-            x0, x = _read_ensemble_csv(ens_path)
-            samples.append((n, x - x0))
+        bound = _fmt(-min(in_band)) if in_band else ""
+        samples = [_read_ensemble(path) for path in args.ensemble.split(",")]
         decay_rows = [
-            [str(n), _fmt(rate), _fmt(bound) if bound is not None else ""]
-            for n, rate, bound in empirics.ldp_estimate(samples, (lo, hi), bound, axis)
+            [str(n), _fmt(rate), bound]
+            for n, rate in empirics.ldp_estimate(samples, (lo, hi), axis)
         ]
         _write_csv(
             out_dir / "ldp_decay.csv",

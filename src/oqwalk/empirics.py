@@ -12,7 +12,7 @@ convergence in law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -28,7 +28,7 @@ DIRAC_SIGMA = 1e-12
 class EmpiricalLaw1D:
     samples: np.ndarray  # sorted ascending
     horizon: int
-    count: int
+    count: int = field(init=False)
 
     def __post_init__(self):
         s = np.sort(np.asarray(self.samples, dtype=float))
@@ -62,7 +62,7 @@ def rescale(ensemble: TrajectoryEnsemble, axis=None) -> EmpiricalLaw1D:
     values = disp @ a
     if n > 0:
         values = values / np.sqrt(n)
-    return EmpiricalLaw1D(samples=values, horizon=n, count=len(values))
+    return EmpiricalLaw1D(samples=values, horizon=n)
 
 
 def _projected_components(mixture: MixtureModel, axis) -> list:
@@ -201,19 +201,13 @@ def empirical_as_mixture(emp: EmpiricalLaw1D) -> MixtureModel:
     return MixtureModel(components=comps, horizon=n)
 
 
-def ldp_estimate(
-    samples: list,
-    interval: tuple[float, float],
-    rate_bound: float | None = None,
-    axis=None,
-) -> list:
+def ldp_estimate(samples: list, interval: tuple[float, float], axis=None) -> list:
     """Empirical decay rates (1/n) log P(displacement/steps in interval).
 
     ``samples`` holds one (steps, displacements) pair per ensemble, the
     displacements an (N, d) array (``TrajectoryEnsemble.displacements``).
-    Returns (steps, rate, rate_bound) per pair; the rate is -inf when no
-    trajectory lands in the interval. ``rate_bound`` is carried through as a
-    companion column for comparison against the predicted -inf Lambda.
+    Returns (steps, rate) per pair; the rate is -inf when no trajectory
+    lands in the interval.
     """
     lo, hi = float(interval[0]), float(interval[1])
     rows = []
@@ -223,7 +217,7 @@ def ldp_estimate(
         values = (disp @ a) / max(n, 1)
         freq = float(np.mean((values >= lo) & (values <= hi)))
         rate = np.log(freq) / n if freq > 0 else float("-inf")
-        rows.append((n, float(rate), rate_bound))
+        rows.append((n, float(rate)))
     return rows
 
 

@@ -4,8 +4,8 @@ Everything here operates on plain numpy arrays (complex128). Subspaces are
 carried around as matrices whose columns form an orthonormal basis, which
 keeps compressions (``basis.conj().T @ operator @ basis``) one-liners.
 
-Rank and support decisions use a threshold relative to the matrix norm
-(default 1e-10); double precision at dimensions up to a few hundred keeps
+Rank and support decisions use the threshold TOL_RANK relative to the
+matrix norm; double precision at dimensions up to a few hundred keeps
 roundoff far below that.
 """
 
@@ -24,18 +24,12 @@ from .errors import (
 
 TOL_ORTHO = 1e-10
 TOL_RANK = 1e-10
+TOL_INTERSECTION = 1e-9  # rcond of the null space that meets two subspaces
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (a + a*)/2."""
     return 0.5 * (a + a.conj().T)
-
-
-def require_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    dev = np.linalg.norm(h - h.conj().T)
-    if dev > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    return hermitian_part(h)
 
 
 @dataclass(frozen=True)
@@ -70,31 +64,33 @@ class Subspace:
         return Subspace(n, np.zeros((n, 0), dtype=complex))
 
     @staticmethod
-    def from_span(vectors: np.ndarray, tol: float = TOL_RANK) -> "Subspace":
+    def from_span(vectors: np.ndarray) -> "Subspace":
         """Orthonormalize a spanning set (columns), dropping null directions."""
         v = np.atleast_2d(np.asarray(vectors, dtype=complex))
         if v.shape[1] == 0:
             return Subspace.zero(v.shape[0])
         q, s, _ = np.linalg.svd(v, full_matrices=False)
         scale = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * max(scale, 1.0)))
+        rank = int(np.sum(s > TOL_RANK * max(scale, 1.0)))
         return Subspace(v.shape[0], q[:, :rank])
 
 
-def support_projection(h: np.ndarray, tol: float = 1e-10) -> Subspace:
+def support_projection(h: np.ndarray) -> Subspace:
     """Support (range) of a positive semidefinite matrix, as a subspace.
 
-    Eigenvalues above ``tol * ||h||`` count toward the support. Raises
+    Eigenvalues above ``TOL_RANK * ||h||`` count toward the support. Raises
     NotHermitianError / NegativeEigenvalueError when ``h`` is not a valid
-    positive operator within tolerance.
+    positive operator within TOL_RANK.
     """
     h = np.asarray(h, dtype=complex)
-    hh = require_hermitian(h, tol)
-    w, v = np.linalg.eigh(hh)
+    dev = np.linalg.norm(h - h.conj().T)
+    if dev > TOL_RANK:
+        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+    w, v = np.linalg.eigh(hermitian_part(h))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -tol * max(scale, 1.0):
+    if w.size and w[0] < -TOL_RANK * max(scale, 1.0):
         raise NegativeEigenvalueError(f"minimum eigenvalue {w[0]:.3e}")
-    keep = w > tol * max(scale, 1.0)
+    keep = w > TOL_RANK * max(scale, 1.0)
     return Subspace(h.shape[0], v[:, keep])
 
 
@@ -139,14 +135,14 @@ def orthonormal_complement(s: Subspace) -> Subspace:
     return Subspace(s.ambient_dim, comp)
 
 
-def subspace_intersection(a: Subspace, b: Subspace, tol: float = 1e-9) -> Subspace:
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     stacked = np.hstack([a.basis, -b.basis])
-    null = scipy.linalg.null_space(stacked, rcond=tol)
+    null = scipy.linalg.null_space(stacked, rcond=TOL_INTERSECTION)
     if null.shape[1] == 0:
         return Subspace.zero(a.ambient_dim)
     vectors = a.basis @ null[: a.dim, :]

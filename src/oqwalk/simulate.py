@@ -73,6 +73,8 @@ DRAW_BLOCK = 256
 REHERMITIZE_EVERY = 50
 # trajectories x steps from which a run forks workers (see the module text)
 PARALLEL_MIN_WORK = 200_000
+# final absorption-track values that count as absorbed / as escaped
+ABSORBED_HI, ABSORBED_LO = 0.99, 0.01
 
 
 @dataclass(frozen=True)
@@ -426,17 +428,14 @@ def martingale_check(
 
 
 def classify_absorption(
-    ensemble: TrajectoryEnsemble,
-    track_id: str,
-    hi: float = 0.99,
-    lo: float = 0.01,
+    ensemble: TrajectoryEnsemble, track_id: str
 ) -> tuple[float, float, float]:
-    """Fractions of trajectories whose final tracked value is above ``hi``,
-    below ``lo``, or in between."""
+    """Fractions of trajectories whose final tracked value is above
+    ``ABSORBED_HI``, below ``ABSORBED_LO``, or in between."""
     final = ensemble.final_track(track_id)
     n = len(final)
-    frac_hi = float(np.sum(final > hi)) / n
-    frac_lo = float(np.sum(final < lo)) / n
+    frac_hi = float(np.sum(final > ABSORBED_HI)) / n
+    frac_lo = float(np.sum(final < ABSORBED_LO)) / n
     return frac_hi, frac_lo, 1.0 - frac_hi - frac_lo
 
 

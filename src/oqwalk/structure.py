@@ -19,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelView, WalkModel, apply_dual, to_matrix, unvec, vec, perron
+from .channel import (
+    ChannelView,
+    WalkModel,
+    apply_dual,
+    matrix_from_json,
+    matrix_to_json,
+    perron,
+    to_matrix,
+    unvec,
+    vec,
+)
 from .errors import (
     NoConvergenceError,
     NotAnEnclosureError,
@@ -87,25 +97,19 @@ class DiagonalState:
     def to_json_dict(self) -> dict:
         return {
             "entries": [
-                {
-                    "site": list(site),
-                    "matrix": [
-                        [[float(z.real), float(z.imag)] for z in row] for row in mat
-                    ],
-                }
+                {"site": list(site), "matrix": matrix_to_json(mat)}
                 for site, mat in sorted(self.entries.items())
             ]
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiagonalState":
-        entries = {}
-        for item in data["entries"]:
-            mat = np.asarray(
-                [[complex(re, im) for re, im in row] for row in item["matrix"]]
-            )
-            entries[tuple(item["site"])] = mat
-        return DiagonalState(entries)
+        return DiagonalState(
+            {
+                tuple(item["site"]): matrix_from_json(item["matrix"])
+                for item in data["entries"]
+            }
+        )
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

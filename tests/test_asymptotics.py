@@ -21,7 +21,7 @@ from oqwalk.asymptotics import (
     rate_function,
 )
 from oqwalk.channel import ChannelView, WalkModel, apply, perron
-from oqwalk.errors import NotIrreducibleError
+from oqwalk.errors import NotIrreducibleError, NumericalDegeneracyError
 from oqwalk.linalg import Subspace
 from oqwalk.structure import DiagonalState, decompose
 from util import basis_subspace, bernoulli_rate, random_irreducible_model
@@ -267,9 +267,9 @@ class TestMixture:
         assert deltas[1][1] == pytest.approx([-1 / 3], abs=1e-9)
 
     def test_component_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalDegeneracyError):
             GaussianComponent([0.0], [[-1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalDegeneracyError):
             MixtureModel(components=[(0.5, GaussianComponent([0.0], [[1.0]]))], horizon=1)
 
 

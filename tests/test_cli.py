@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqwalk import simulate, structure
+from oqwalk import asymptotics, simulate, structure
 from oqwalk.cli import main
 from oqwalk.structure import DiagonalState
 from util import random_irreducible_model
@@ -172,6 +172,40 @@ class TestClt:
         header, rows = read_csv(tmp_path / "clt_cdf_n600.csv")
         assert header == ["x", "F_mix"]
         assert len(rows) > 100
+
+    def test_one_mixture_serves_every_horizon(self, tmp_path, monkeypatch):
+        real, calls = asymptotics.clt_mixture, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(asymptotics, "clt_mixture", counting)
+        rc = main([
+            "clt",
+            "--model", fixture("four_state_p3_sixth.json"),
+            "--state", fixture("state_four_balanced.json"),
+            "--steps", "50,600",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        for n in (50, 600):
+            data = json.loads((tmp_path / f"mixture_n{n}.json").read_text())
+            assert data["horizon"] == n
+            assert data["components"][1]["mean"] == pytest.approx([-np.sqrt(n) / 3], abs=1e-6)
+
+    def test_invalid_covariance_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(asymptotics, "diffusion", lambda *args: np.array([[-1.0]]))
+        rc = main([
+            "clt",
+            "--model", fixture("two_state.json"),
+            "--state", fixture("state_two_recurrent.json"),
+            "--steps", "10",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_single_component_from_transient_start(self, tmp_path):
         # p1 = p2 = 0: starting at e0 everything lands in the drifting block
@@ -368,6 +402,57 @@ class TestCompare:
         assert rc == 1
         assert "lattice dimension" in capsys.readouterr().err
 
+    def test_manifest_with_several_ensembles(self, tmp_path, monkeypatch, capsys):
+        # one manifest's horizon would rescale the 60-step ensemble by sqrt(30)
+        self._produce(tmp_path, steps="30,60")
+        opened = []
+        real_open = open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        rc = main([
+            "compare",
+            "--ensemble", f"{tmp_path}/ensemble_n30.csv,{tmp_path}/ensemble_n60.csv",
+            "--prediction", f"{tmp_path}/mixture_n30.json,{tmp_path}/mixture_n30.json",
+            "--manifest", str(tmp_path / "manifest_n30.json"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "--manifest" in capsys.readouterr().err
+        assert not [path for path in opened if path.startswith(str(tmp_path))]
+        assert not (tmp_path / "distances.csv").exists()
+
+    def test_ensemble_without_trajectories_is_input_error(self, tmp_path, capsys):
+        self._produce(tmp_path)
+        path = tmp_path / "ensemble_n30.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        rc = main([
+            "compare",
+            "--ensemble", str(path),
+            "--prediction", str(tmp_path / "mixture_n30.json"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "no trajectories" in capsys.readouterr().err
+
+    def test_invalid_prediction_is_input_error(self, tmp_path, capsys):
+        self._produce(tmp_path)
+        path = tmp_path / "mixture_n30.json"
+        data = json.loads(path.read_text())
+        data["components"][0]["covariance"] = [[-1.0]]
+        path.write_text(json.dumps(data))
+        rc = main([
+            "compare",
+            "--ensemble", str(tmp_path / "ensemble_n30.csv"),
+            "--prediction", str(path),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "input error" in capsys.readouterr().err
+
     def test_horizon_mismatch(self, tmp_path):
         self._produce(tmp_path, steps="30")
         assert main([
@@ -441,3 +526,8 @@ class TestLdp:
         header, rows = read_csv(tmp_path / "ldp_decay.csv")
         assert header == ["n", "log_freq_over_n", "rate_bound"]
         assert rows[0][0] == "60"
+        # the bound column is minus the lowest swept rate inside the interval
+        _, sweep = read_csv(tmp_path / "rate_sweep.csv")
+        in_band = [float(r[1]) for r in sweep if 0.3 - 1e-9 <= float(r[0]) <= 0.5 + 1e-9]
+        assert len(in_band) == 3
+        assert float(rows[0][2]) == -min(in_band)

@@ -92,14 +92,15 @@ class TestMixtureCdf:
 
 class TestW1:
     def test_point_mass_against_itself(self):
-        emp = EmpiricalLaw1D(samples=np.zeros(64), horizon=1, count=64)
+        emp = EmpiricalLaw1D(samples=np.zeros(64), horizon=1)
         mix = MixtureModel(components=[(1.0, gaussian(0.0, 0.0))], horizon=1)
         assert w1_distance(emp, mix).w1 == pytest.approx(0.0, abs=1e-12)
 
     def test_translation_distance(self):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal(50_000)
-        emp = EmpiricalLaw1D(samples=samples, horizon=1, count=len(samples))
+        emp = EmpiricalLaw1D(samples=samples, horizon=1)
+        assert emp.count == len(samples)
         report = w1_distance(emp, single(mean=1.0))
         assert report.w1 == pytest.approx(1.0, abs=0.02)
         assert "Fortet-Mourier" in report.note
@@ -111,7 +112,7 @@ class TestW1:
         samples = np.where(
             pick, rng.normal(0.0, 1.0, n), rng.normal(-3.0, np.sqrt(8 / 9), n)
         )
-        emp = EmpiricalLaw1D(samples=samples, horizon=9, count=n)
+        emp = EmpiricalLaw1D(samples=samples, horizon=9)
         mix = MixtureModel(
             components=[(2 / 3, gaussian(0.0, 1.0)), (1 / 3, gaussian(-1.0, 8 / 9))],
             horizon=9,
@@ -121,22 +122,22 @@ class TestW1:
     def test_shift_equivariance(self):
         rng = np.random.default_rng(2)
         samples = rng.standard_normal(500)
-        emp = EmpiricalLaw1D(samples=samples, horizon=1, count=500)
+        emp = EmpiricalLaw1D(samples=samples, horizon=1)
         base = w1_distance(emp, single(mean=0.3)).w1
-        shifted_emp = EmpiricalLaw1D(samples=samples + 5.0, horizon=1, count=500)
+        shifted_emp = EmpiricalLaw1D(samples=samples + 5.0, horizon=1)
         shifted = w1_distance(shifted_emp, single(mean=5.3)).w1
         assert abs(base - shifted) <= 1e-9
 
     def test_symmetry_between_empirical_laws(self):
         rng = np.random.default_rng(3)
-        a = EmpiricalLaw1D(samples=rng.standard_normal(200), horizon=1, count=200)
-        b = EmpiricalLaw1D(samples=rng.standard_normal(300) + 0.4, horizon=1, count=300)
+        a = EmpiricalLaw1D(samples=rng.standard_normal(200), horizon=1)
+        b = EmpiricalLaw1D(samples=rng.standard_normal(300) + 0.4, horizon=1)
         ab = w1_distance(a, empirical_as_mixture(b)).w1
         ba = w1_distance(b, empirical_as_mixture(a)).w1
         assert ab == pytest.approx(ba, abs=1e-9)
 
     def test_ks_is_supremum_discrepancy(self):
-        emp = EmpiricalLaw1D(samples=np.array([-1.0, 0.0, 1.0]), horizon=1, count=3)
+        emp = EmpiricalLaw1D(samples=np.array([-1.0, 0.0, 1.0]), horizon=1)
         report = w1_distance(emp, single())
         from scipy.stats import norm
 
@@ -166,15 +167,14 @@ class TestLdpEstimate:
     def test_mass_interval_rate_vanishes(self, two_state):
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         ens = run(two_state, rho, SimConfig(steps=400, trajectories=4000, seed=6))
-        ((n, rate, bound),) = ldp_estimate([(400, ens.displacements)], (0.2, 0.5))
+        ((n, rate),) = ldp_estimate([(400, ens.displacements)], (0.2, 0.5))
         assert n == 400
         assert abs(rate) <= 0.01
-        assert bound is None
 
     def test_empty_interval_sentinel(self, two_state):
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         ens = run(two_state, rho, SimConfig(steps=50, trajectories=100, seed=7))
-        ((_, rate, _),) = ldp_estimate([(50, ens.displacements)], (5.0, 6.0))
+        ((_, rate),) = ldp_estimate([(50, ens.displacements)], (5.0, 6.0))
         assert rate == float("-inf")
 
     def test_rare_event_rates_match_enumeration(self, two_state):
@@ -187,15 +187,14 @@ class TestLdpEstimate:
         for n in horizons:
             ens = run(two_state, rho, SimConfig(steps=n, trajectories=trials, seed=8))
             samples.append((n, ens.displacements))
-        rows = ldp_estimate(samples, (0.9, 1.0), rate_bound=np.log(2 / 3))
-        for (n, rate, bound), horizon in zip(rows, horizons):
+        rows = ldp_estimate(samples, (0.9, 1.0))
+        for (n, rate), horizon in zip(rows, horizons):
             ks = np.arange(horizon + 1)
             in_set = (2 * ks - horizon) / horizon >= 0.9 - 1e-12
             exact_p = float(binom.pmf(ks[in_set], horizon, 2 / 3).sum())
             exact_rate = np.log(exact_p) / horizon
             sigma = np.sqrt((1 - exact_p) / (exact_p * trials)) / horizon
             assert abs(rate - exact_rate) <= 4 * sigma + 1e-12
-            assert bound == pytest.approx(np.log(2 / 3))
         # at the smallest horizon only the extreme path contributes
         assert rows[0][1] == pytest.approx(np.log(2 / 3), abs=0.02)
 
@@ -203,25 +202,25 @@ class TestLdpEstimate:
 class TestHistogram:
     def test_uniform_is_flat(self):
         rng = np.random.default_rng(9)
-        emp = EmpiricalLaw1D(samples=rng.random(100_000), horizon=1, count=100_000)
+        emp = EmpiricalLaw1D(samples=rng.random(100_000), horizon=1)
         table = histogram(emp, bins=20)
         densities = np.array([row[2] for row in table])
         np.testing.assert_allclose(densities, 1.0, atol=0.08)
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(10)
-        emp = EmpiricalLaw1D(samples=rng.standard_normal(5000), horizon=1, count=5000)
+        emp = EmpiricalLaw1D(samples=rng.standard_normal(5000), horizon=1)
         table = histogram(emp, bins=37)
         total = sum((right - left) * dens for left, right, dens in table)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_single_sample(self):
-        emp = EmpiricalLaw1D(samples=np.array([2.5]), horizon=1, count=1)
+        emp = EmpiricalLaw1D(samples=np.array([2.5]), horizon=1)
         table = histogram(emp, bins=5)
         total = sum((right - left) * dens for left, right, dens in table)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_rejected(self):
-        emp = EmpiricalLaw1D(samples=np.array([]), horizon=1, count=0)
+        emp = EmpiricalLaw1D(samples=np.array([]), horizon=1)
         with pytest.raises(EmptyEnsembleError):
             histogram(emp, bins=5)

@@ -1,9 +1,13 @@
 """The benchmark's span tracer (``perfbench/tracing.py``) wraps library
 functions by name and skips a name that no longer resolves, so a rename would
-silently zero that layer's metrics. These checks make it fail here instead."""
+silently zero that layer's metrics; and a benchmark call that no longer fits
+its signature fails only the opt-in perfbench suite. These checks make both
+fail here instead."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,67 @@ def _traced_names() -> list:
 )
 def test_benchmark_names_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def _benchmark_calls() -> list:
+    """(location, callee, positional count, keyword names) of every call in
+    ``perfbench/*.py`` to a name bound from an oqwalk import: a module
+    attribute such as ``simulate.SimConfig(...)`` or an imported name such as
+    ``fixed_space_dim(...)``. Calls with ``*args`` or ``**kwargs`` cannot be
+    bound statically and are left out."""
+    calls = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> (oqwalk module, attribute or None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oqwalk"):
+                for alias in node.names:
+                    if node.module == "oqwalk":
+                        bound[alias.asname or alias.name] = (f"oqwalk.{alias.name}", None)
+                    else:
+                        bound[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, attrs = node.func, []
+            if isinstance(func, ast.Attribute):
+                func, attrs = func.value, [func.attr]
+            if not isinstance(func, ast.Name) or func.id not in bound:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                continue
+            module, attr = bound[func.id]
+            chain = ([attr] if attr else []) + attrs
+            where = f"{path.name}:{node.lineno}"
+            calls.append((where, (module, chain), len(node.args), [k.arg for k in node.keywords]))
+    return sorted(calls, key=lambda call: (call[0].split(":")[0], int(call[0].split(":")[1])))
+
+
+def _callee_name(callee) -> str:
+    module, chain = callee
+    return ".".join([module.removeprefix("oqwalk.")] + chain)
+
+
+BENCHMARK_CALLS = _benchmark_calls()
+
+
+def test_benchmark_calls_found():
+    callees = {_callee_name(callee) for _, callee, _, _ in BENCHMARK_CALLS}
+    assert {"simulate.SimConfig", "asymptotics.clt_mixture", "asymptotics.fixed_space_dim"} <= callees
+
+
+@pytest.mark.parametrize(
+    "where, callee, positional, keywords",
+    BENCHMARK_CALLS,
+    ids=[f"{where}-{_callee_name(callee)}" for where, callee, _, _ in BENCHMARK_CALLS],
+)
+def test_benchmark_calls_bind(where, callee, positional, keywords):
+    """Each library call the benchmark makes still fits the signature it
+    calls, so a removed or renamed parameter fails tier-1."""
+    module, chain = callee
+    fn = importlib.import_module(module)
+    for attr in chain:
+        fn = getattr(fn, attr)
+    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
