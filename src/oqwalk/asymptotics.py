@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import ChannelView, PerronData, WalkModel, perron, to_matrix, unvec, vec
 from .errors import (
+    DimensionMismatchError,
     NoConvergenceError,
     NotIrreducibleError,
     NumericalDegeneracyError,
@@ -99,8 +100,6 @@ class RateEvaluation:
     per_block: list = field(default_factory=list)  # (id, value, maximizer)
     label: str = ""
     note: str = ""
-    upper_value: float | None = None
-    lower_value: float | None = None
     block_id: str = ""  # per_block entry that gave ``value``
 
 
@@ -249,11 +248,6 @@ def clt_mixture(
     total = sum(w for w, _ in components)
     components = [(w / total, g) for w, g in components]
     return MixtureModel(components=components, horizon=horizon)
-
-
-def empirical_mean_limit(mixture: MixtureModel) -> list:
-    """Limit law of displacement/steps: point masses at the component drifts."""
-    return [(w, g.mean_rate.copy()) for w, g in mixture.components]
 
 
 def log_lambda(model: WalkModel, subspace: Subspace, u) -> float:
@@ -426,62 +420,63 @@ def rate_function(
     model: WalkModel,
     decomposition: SpaceDecomposition,
     rho: DiagonalState,
-    x,
-) -> RateEvaluation:
-    """Rate of exponential decay for the displacement-per-step law at x.
+    points,
+) -> list:
+    """Rates of exponential decay of the displacement-per-step law, one
+    RateEvaluation per row of ``points`` (an (m, d) array; a single point
+    may be given as a d-vector).
 
     Fully recurrent models admit an exact large-deviation principle: the rate
     is the minimum of the block rates over blocks carrying weight. With a
     nontrivial transient space only upper and lower bounds are available,
     computed on the absorption-support compressions of the reachable space,
-    and the result is labeled accordingly.
+    and the result is labeled accordingly. The weights, the reachable space
+    and the compressions depend on (model, rho) only, so each is built once
+    per call and shared by every point.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[-1] != model.lattice_dim:
+        raise DimensionMismatchError(f"points need {model.lattice_dim} components")
     block_weights, enclosure_weights = weights(model, decomposition, rho)
-
-    per_block = []
+    ids, blocks = decomposition.block_ids(), decomposition.blocks
     if decomposition.is_recurrent:
-        for bid, w, block in zip(
-            decomposition.block_ids(), block_weights, decomposition.blocks
-        ):
-            if w <= WEIGHT_FLOOR:
-                continue
-            # block and minimal enclosure share the deformed spectral radius
-            ev = legendre(model, block.minimal_enclosures[0], x)
-            per_block.append((bid, ev.value, ev.maximizer))
-        best = _lowest_rate(per_block)
-        return RateEvaluation(
-            point=x,
-            value=best[1],
-            maximizer=best[2],
-            per_block=per_block,
-            label="exact-LDP",
-            block_id=best[0],
-        )
+        # block and minimal enclosure share the deformed spectral radius
+        parts = [
+            (bid, block.minimal_enclosures[0])
+            for bid, w, block in zip(ids, block_weights, blocks)
+            if w > WEIGHT_FLOOR
+        ]
+        label, note = "exact-LDP", ""
+    else:
+        reachable = reachable_space(model, rho)
+        parts = [
+            (f"{bid}/min-{j}", _reachable_compression(model, sub, reachable))
+            for bid, row, block in zip(ids, enclosure_weights, blocks)
+            for j, (w, sub) in enumerate(zip(row, block.minimal_enclosures))
+            if w > WEIGHT_FLOOR
+        ]
+        label, note = "bounds-only", NONSMOOTH_CAVEAT
 
-    reachable = reachable_space(model, rho)
-    for bid, row, block in zip(
-        decomposition.block_ids(), enclosure_weights, decomposition.blocks
-    ):
-        for j, (w, sub) in enumerate(zip(row, block.minimal_enclosures)):
-            if w <= WEIGHT_FLOOR:
-                continue
-            p_tilde = absorption(model, sub).support().projector()
-            q = project_subspace(p_tilde, reachable)
-            ev = legendre(model, q, x)
-            per_block.append((f"{bid}/min-{j}", ev.value, ev.maximizer))
-    best = _lowest_rate(per_block)
-    return RateEvaluation(
-        point=x,
-        value=best[1],
-        maximizer=best[2],
-        per_block=per_block,
-        label="bounds-only",
-        note=NONSMOOTH_CAVEAT,
-        upper_value=best[1],
-        lower_value=best[1],
-        block_id=best[0],
-    )
+    results = []
+    for x in points:
+        per_block = []
+        for pid, sub in parts:
+            ev = legendre(model, sub, x)
+            per_block.append((pid, ev.value, ev.maximizer))
+        bid, value, maximizer = _lowest_rate(per_block)
+        results.append(
+            RateEvaluation(x, value, maximizer, per_block, label, note, block_id=bid)
+        )
+    return results
+
+
+def _reachable_compression(
+    model: WalkModel, enclosure: Subspace, reachable: Subspace
+) -> Subspace:
+    """Support of the enclosure's absorption operator projected into the
+    reachable space: the compression whose log lambda bounds the rates."""
+    p_tilde = absorption(model, enclosure).support().projector()
+    return project_subspace(p_tilde, reachable)
 
 
 def _lowest_rate(per_block: list) -> tuple:
@@ -503,9 +498,7 @@ def lambda_split_check(
     recurrent and transient contributions; checks the max identity."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     tra = transient_space(model)
-    p_tilde = absorption(model, enclosure).support().projector()
-    reachable = reachable_space(model, rho)
-    q = project_subspace(p_tilde, reachable)
+    q = _reachable_compression(model, enclosure, reachable_space(model, rho))
     w_space = subspace_intersection(q, tra)
 
     lam_q = float(np.exp(log_lambda(model, q, u)))

@@ -35,24 +35,32 @@ from .structure import DiagonalState
 
 
 def _parse_horizons(text: str) -> list:
-    """The ``--steps`` horizons, in the order given; an empty list or a
-    negative horizon is an InputError."""
-    horizons = [int(tok) for tok in text.split(",") if tok.strip()]
+    """The ``--steps`` horizons, in the order given; an empty list, a
+    negative horizon or one that is not an integer is an InputError."""
+    with _parsing(f"--steps {text!r}"):
+        horizons = [int(tok) for tok in text.split(",") if tok.strip()]
     if not horizons or min(horizons) < 0:
         raise InputError(f"--steps: need horizons n >= 0, got {text!r}")
     return horizons
 
 
-def _parse_float_list(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",") if tok.strip()])
-
-
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, step = (float(tok) for tok in text.split(":"))
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    """The points lo, lo + step, ... up to hi of a ``lo:hi:step`` grid. A
+    grid that does not parse, is not finite, has a step <= 0 or hi < lo, or
+    has more points than numpy can index is an InputError."""
+    with _parsing(f"--grid {text!r}"):
+        lo, hi, step = (float(tok) for tok in text.split(":"))
+        span = (hi - lo) / step if step > 0 else float("nan")
+        if not (np.isfinite([lo, hi, step, span]).all() and hi >= lo):
+            raise InputError(f"--grid: need finite lo <= hi and step > 0, got {text!r}")
+        return lo + step * np.arange(int(np.floor(span + 1e-9)) + 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: the random generators take seeds >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text}")
+    return int(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -93,7 +101,10 @@ def _parse_axis(text, dim: int) -> np.ndarray:
     """The ``--axis`` projection vector for ``dim`` lattice dimensions (by
     default (1,) when dim = 1). A missing axis for dim > 1, or one with
     other than ``dim`` components, is an InputError."""
-    axis = _parse_float_list(text) if text else None
+    axis = None
+    if text:
+        with _parsing(f"--axis {text!r}"):
+            axis = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     try:
         return empirics._resolve_axis(dim, axis)
     except MissingAxisError as exc:
@@ -105,9 +116,15 @@ def _load_model(path: str) -> WalkModel:
         return WalkModel.load(path)
 
 
-def _load_state(path: str) -> DiagonalState:
+def _load_state(path: str, model: WalkModel) -> DiagonalState:
+    """The initial state in ``path``; one whose operators or sites do not
+    fit ``model`` is an InputError."""
     with _parsing(path):
-        return DiagonalState.load(path)
+        rho = DiagonalState.load(path)
+        k, d = model.local_dim, model.lattice_dim
+        if rho.local_dim != k or any(len(site) != d for site in rho.entries):
+            raise ValueError(f"the model needs {k}x{k} operators on sites in Z^{d}")
+    return rho
 
 
 def _resolve_tracks(model, decomposition, track_ids):
@@ -169,7 +186,7 @@ def cmd_analyze(args) -> int:
             }
         )
     if args.state:
-        rho = _load_state(args.state)
+        rho = _load_state(args.state, model)
         bw, ew = structure.weights(model, dec, rho)
         report["weights"] = {
             bid: {"block": w, "enclosures": row}
@@ -212,8 +229,9 @@ def _mixture_from_payload(data: dict):
 
 def cmd_clt(args) -> int:
     horizons = _parse_horizons(args.steps)
+    grid = _parse_grid(args.grid) if args.grid else None
     model = _load_model(args.model)
-    rho = _load_state(args.state)
+    rho = _load_state(args.state, model)
     axis = _parse_axis(args.axis, model.lattice_dim)
     dec = structure.decompose(model, seed=args.seed)
     # the components do not depend on the horizon: compute them once
@@ -222,9 +240,8 @@ def cmd_clt(args) -> int:
     for n in horizons:
         mixture = replace(limit, horizon=n)
         _write_json(out_dir / f"mixture_n{n}.json", _mixture_payload(mixture))
-        if args.grid:
-            xs = _parse_grid(args.grid)
-        else:
+        xs = grid
+        if xs is None:
             comps = empirics._projected_components(mixture, axis)
             lo = min(mu - 4 * max(s, 1.0) for _, mu, s in comps)
             hi = max(mu + 4 * max(s, 1.0) for _, mu, s in comps)
@@ -238,15 +255,16 @@ def cmd_clt(args) -> int:
 
 def cmd_simulate(args) -> int:
     horizons = _parse_horizons(args.steps)
-    config = simulate.SimConfig(
-        steps=max(horizons),
-        trajectories=args.traj,
-        seed=args.seed,
-        y_stride=args.y_stride,
-        horizons=tuple(horizons),
-    )
+    with _parsing("--traj/--y-stride"):
+        config = simulate.SimConfig(
+            steps=max(horizons),
+            trajectories=args.traj,
+            seed=args.seed,
+            y_stride=args.y_stride,
+            horizons=tuple(horizons),
+        )
     model = _load_model(args.model)
-    rho = _load_state(args.state)
+    rho = _load_state(args.state, model)
     track_ids = []
     for spec_item in args.enclosure_track or []:
         track_ids.extend(t for t in spec_item.split(",") if t)
@@ -297,7 +315,7 @@ def cmd_compare(args) -> int:
     ensembles = args.ensemble.split(",")
     predictions = args.prediction.split(",")
     if len(ensembles) != len(predictions):
-        raise ValueError("need one prediction file per ensemble file")
+        raise InputError("need one prediction file per ensemble file")
     if args.manifest and len(ensembles) > 1:
         raise InputError("--manifest gives the horizon of one ensemble; pass one")
     out_rows = []
@@ -325,12 +343,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ldp(args) -> int:
+    grid = _parse_grid(args.grid)
     model = _load_model(args.model)
-    rho = _load_state(args.state)
+    rho = _load_state(args.state, model)
     d = model.lattice_dim
     axis = _parse_axis(args.axis, d)
+    decay = args.ensemble and args.interval
+    if decay:
+        with _parsing(f"--interval {args.interval!r}"):
+            lo, hi = (float(tok) for tok in args.interval.split(","))
+        samples = [_read_ensemble(path) for path in args.ensemble.split(",")]
+        if any(n < 1 or disp.shape[1] != d for n, disp in samples):
+            raise InputError(f"--ensemble: need {d}-dimensional ensembles of n >= 1 steps")
     dec = structure.decompose(model, seed=args.seed)
-    grid = _parse_grid(args.grid)
 
     header = (
         [f"x_{j + 1}" for j in range(d)]
@@ -338,28 +363,21 @@ def cmd_ldp(args) -> int:
         + [f"ustar_{j + 1}" for j in range(d)]
         + ["block_id", "label"]
     )
-    rows = []
-    evaluations = []
-    for t in grid:
-        x = t * axis
-        ev = asymptotics.rate_function(model, dec, rho, x)
-        evaluations.append((t, ev))
-        rows.append(
-            [_fmt(v) for v in x]
-            + [_fmt(ev.value)]
-            + [_fmt(v) for v in ev.maximizer]
-            + [ev.block_id, ev.label]
-        )
+    evaluations = asymptotics.rate_function(model, dec, rho, grid[:, None] * axis)
+    rows = [
+        [_fmt(v) for v in ev.point]
+        + [_fmt(ev.value)]
+        + [_fmt(v) for v in ev.maximizer]
+        + [ev.block_id, ev.label]
+        for ev in evaluations
+    ]
     out_dir = Path(args.out)
     _write_csv(out_dir / "rate_sweep.csv", header, rows)
-    label = evaluations[0][1].label if evaluations else "empty grid"
-    print(f"wrote rate_sweep.csv ({label}, {len(rows)} points)")
+    print(f"wrote rate_sweep.csv ({evaluations[0].label}, {len(rows)} points)")
 
-    if args.ensemble and args.interval:
-        lo, hi = (float(tok) for tok in args.interval.split(","))
-        in_band = [ev.value for t, ev in evaluations if lo <= t <= hi]
+    if decay:
+        in_band = [ev.value for t, ev in zip(grid, evaluations) if lo <= t <= hi]
         bound = _fmt(-min(in_band)) if in_band else ""
-        samples = [_read_ensemble(path) for path in args.ensemble.split(",")]
         decay_rows = [
             [str(n), _fmt(rate), bound]
             for n, rate in empirics.ldp_estimate(samples, (lo, hi), axis)
@@ -388,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--state", required=state_required, help="initial state JSON file"
             )
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("validate", help="check the model file")
     common(p, state_required=None)
@@ -448,7 +466,7 @@ def main(argv=None) -> int:
     except NotTracePreservingError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
         return 2
-    except (OSError, InputError, ValueError, HorizonMismatchError) as exc:
+    except (OSError, InputError, HorizonMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except OQWalkError as exc:

@@ -188,19 +188,6 @@ def w1_distance(emp: EmpiricalLaw1D, mixture: MixtureModel, axis=None) -> Distan
     return DistanceReport(w1=float(total), ks=ks)
 
 
-def empirical_as_mixture(emp: EmpiricalLaw1D) -> MixtureModel:
-    """Encode an empirical law as an atomic mixture (for law-vs-law W1)."""
-    from .asymptotics import GaussianComponent
-
-    n = max(emp.horizon, 1)
-    root_n = np.sqrt(n)
-    comps = [
-        (1.0 / emp.count, GaussianComponent([s / root_n], [[0.0]]))
-        for s in emp.samples
-    ]
-    return MixtureModel(components=comps, horizon=n)
-
-
 def ldp_estimate(samples: list, interval: tuple[float, float], axis=None) -> list:
     """Empirical decay rates (1/n) log P(displacement/steps in interval).
 

@@ -307,14 +307,14 @@ def test_criterion_09_ldp_closed_forms():
 
     worst_mean = 0.0
     for m in (0.4, -0.6):
-        ev = rate_function(model, dec, rho, [m])
+        (ev,) = rate_function(model, dec, rho, [m])
         worst_mean = max(worst_mean, ev.value)
         assert ev.label == "exact-LDP"
     ok_mean = worst_mean <= 1e-8
 
     four = models.four_state_family(1 / 6, 1 / 6, 1 / 6)
     dec4 = decompose(four, seed=0)
-    ev4 = rate_function(four, dec4, edge_state(), [0.1])
+    (ev4,) = rate_function(four, dec4, edge_state(), [0.1])
     ok_label = ev4.label == "bounds-only"
 
     report(

@@ -12,7 +12,6 @@ from oqwalk.asymptotics import (
     clt_mixture,
     diffusion,
     drift,
-    empirical_mean_limit,
     lambda_derivatives,
     lambda_split_check,
     legendre,
@@ -21,7 +20,11 @@ from oqwalk.asymptotics import (
     rate_function,
 )
 from oqwalk.channel import ChannelView, WalkModel, apply, perron
-from oqwalk.errors import NotIrreducibleError, NumericalDegeneracyError
+from oqwalk.errors import (
+    DimensionMismatchError,
+    NotIrreducibleError,
+    NumericalDegeneracyError,
+)
 from oqwalk.linalg import Subspace
 from oqwalk.structure import DiagonalState, decompose
 from util import basis_subspace, bernoulli_rate, random_irreducible_model
@@ -36,6 +39,11 @@ def edge_enclosure(dec):
 
 def plane_enclosure(dec):
     return next(b for b in dec.blocks if b.subspace.dim == 2)
+
+
+def empirical_mean_limit(mixture: MixtureModel) -> list:
+    """Limit law of displacement/steps: point masses at the component drifts."""
+    return [(w, g.mean_rate.copy()) for w, g in mixture.components]
 
 
 class TestDrift:
@@ -436,8 +444,7 @@ class TestLegendre:
             return ev
 
         monkeypatch.setattr(asymptotics, "legendre", recording)
-        for x in np.arange(-0.9, 0.91, 0.05):
-            rate_function(model, dec, rho, [x])
+        rate_function(model, dec, rho, np.arange(-0.9, 0.91, 0.05)[:, None])
         us = np.linspace(-asymptotics.U_MAX, asymptotics.U_MAX, 401)
         log_lam = {}  # per subspace basis: log_lambda on the u grid
         for subspace, ev in seen:
@@ -452,7 +459,7 @@ class TestRateFunction:
     def test_recurrent_model_takes_min(self, commuting, commuting_dec):
         rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
         for x in (-0.8, -0.2, 0.4, 0.7):
-            ev = rate_function(commuting, commuting_dec, rho, [x])
+            (ev,) = rate_function(commuting, commuting_dec, rho, [x])
             assert ev.label == "exact-LDP"
             expected = min(bernoulli_rate(x, 0.7), bernoulli_rate(x, 0.2))
             assert ev.value == pytest.approx(expected, abs=1e-6)
@@ -461,14 +468,14 @@ class TestRateFunction:
     def test_zero_at_contributing_means(self, commuting, commuting_dec):
         rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
         for m in (0.4, -0.6):
-            ev = rate_function(commuting, commuting_dec, rho, [m])
+            (ev,) = rate_function(commuting, commuting_dec, rho, [m])
             assert ev.value <= 1e-8
 
     def test_blocks_without_weight_are_ignored(self, commuting, commuting_dec):
         mat = np.zeros((3, 3), dtype=complex)
         mat[2, 2] = 1.0
         rho = DiagonalState.single_site(mat)
-        ev = rate_function(commuting, commuting_dec, rho, [0.4])
+        (ev,) = rate_function(commuting, commuting_dec, rho, [0.4])
         assert len(ev.per_block) == 1
         # only the drift -0.6 block contributes, so the rate at +0.4 is large
         assert ev.value == pytest.approx(bernoulli_rate(0.4, 0.2), abs=1e-6)
@@ -476,11 +483,62 @@ class TestRateFunction:
     def test_transient_model_is_bounds_only(
         self, four_state, four_state_dec, transient_start
     ):
-        ev = rate_function(four_state, four_state_dec, transient_start, [0.0])
+        (ev,) = rate_function(four_state, four_state_dec, transient_start, [0.0])
         assert ev.label == "bounds-only"
-        assert ev.upper_value == ev.value
-        assert ev.lower_value == ev.value
         assert "exposed points" in ev.note
+
+    @pytest.mark.parametrize(
+        "model_file, state_file",
+        [
+            ("commuting_diag.json", "state_commuting_mixed.json"),
+            ("four_state_p3_sixth.json", "state_four_transient.json"),
+        ],
+    )
+    def test_sweep_equals_its_points(self, model_file, state_file):
+        model = WalkModel.load(FIXTURES / model_file)
+        rho = DiagonalState.load(FIXTURES / state_file)
+        dec = decompose(model, seed=0)
+        xs = np.linspace(-0.9, 0.9, 7)[:, None]
+        sweep = rate_function(model, dec, rho, xs)
+        assert len(sweep) == len(xs)
+        for x, ev in zip(xs, sweep):
+            (alone,) = rate_function(model, dec, rho, x)
+            assert np.array_equal(ev.point, x) and np.array_equal(alone.point, x)
+            assert ev.value == alone.value
+            assert np.array_equal(ev.maximizer, alone.maximizer)
+            assert (ev.label, ev.note, ev.block_id) == (alone.label, alone.note, alone.block_id)
+            assert len(ev.per_block) == len(alone.per_block)
+            for (bid, value, u), (bid1, value1, u1) in zip(ev.per_block, alone.per_block):
+                assert (bid, value) == (bid1, value1)
+                assert np.array_equal(u, u1)
+
+    def test_sweep_builds_compressions_once(self, monkeypatch):
+        model = WalkModel.load(FIXTURES / "four_state_p3_sixth.json")
+        rho = DiagonalState.load(FIXTURES / "state_four_transient.json")
+        dec = decompose(model, seed=0)
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("reachable_space", "weights", "project_subspace"):
+            monkeypatch.setattr(asymptotics, name, counting(getattr(asymptotics, name)))
+        sweep = rate_function(model, dec, rho, np.linspace(-1.0, 1.0, 21)[:, None])
+        assert len(sweep) == 21 and sweep[0].label == "bounds-only"
+        enclosures = len(sweep[0].per_block)
+        assert enclosures == 3
+        assert calls.count("reachable_space") == 1
+        assert calls.count("weights") == 1
+        assert calls.count("project_subspace") == enclosures
+
+    def test_points_of_another_dimension(self, commuting, commuting_dec):
+        rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(DimensionMismatchError):
+            rate_function(commuting, commuting_dec, rho, [[0.1, 0.2]])
 
     @pytest.mark.parametrize("gap,first", [(4e-16, True), (-4e-16, True), (1e-9, False)])
     def test_roundoff_tie_picks_first_block(self, monkeypatch, commuting, commuting_dec, gap, first):
@@ -493,7 +551,7 @@ class TestRateFunction:
 
         monkeypatch.setattr(asymptotics, "legendre", fake_legendre)
         rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
-        ev = rate_function(commuting, commuting_dec, rho, [0.1])
+        (ev,) = rate_function(commuting, commuting_dec, rho, [0.1])
         assert len(ev.per_block) == 2
         best = ev.per_block[0 if first else 1]
         assert (ev.block_id, ev.value) == best[:2]

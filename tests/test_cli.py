@@ -63,6 +63,16 @@ class TestValidate:
         assert "input error" not in capsys.readouterr().err
 
 
+    def test_library_value_error_is_not_input_error(self, tmp_path, monkeypatch, capsys):
+        def broken(model, seed=0):
+            raise ValueError("bug inside the library")
+
+        monkeypatch.setattr(structure, "decompose", broken)
+        with pytest.raises(ValueError, match="bug inside the library"):
+            main(["analyze", "--model", fixture("two_state.json"), "--out", str(tmp_path)])
+        assert "input error" not in capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_four_state_report(self, tmp_path):
         rc = main([
@@ -531,3 +541,95 @@ class TestLdp:
         in_band = [float(r[1]) for r in sweep if 0.3 - 1e-9 <= float(r[0]) <= 0.5 + 1e-9]
         assert len(in_band) == 3
         assert float(rows[0][2]) == -min(in_band)
+
+
+class TestInputErrors:
+    """Each malformed argument exits 1 as an input error before any output
+    is written."""
+
+    BASE = [
+        "--model", fixture("commuting_diag.json"),
+        "--state", fixture("state_commuting_mixed.json"),
+    ]
+    REQUIRED = {
+        "analyze": [],
+        "clt": ["--steps", "10"],
+        "ldp": ["--grid=0:0.2:0.1"],
+        "simulate": ["--steps", "10", "--traj", "10"],
+    }
+
+    def run(self, tmp_path, capsys, command, *argv, base=BASE):
+        rc = main([command, *base, *argv, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.1", "1:0:0.1"])
+    @pytest.mark.parametrize("command", ["clt", "ldp"])
+    def test_grid_that_is_not_finite_or_increasing(self, tmp_path, capsys, command, grid):
+        argv = ["--steps", "10"] if command == "clt" else []
+        err = self.run(tmp_path, capsys, command, *argv, f"--grid={grid}")
+        assert "input error: --grid" in err
+
+    @pytest.mark.parametrize("grid", ["0:1", "0:x:0.1", "0:1:0.1:2"])
+    def test_unparsable_grid(self, tmp_path, capsys, grid):
+        assert "input error: --grid" in self.run(tmp_path, capsys, "ldp", f"--grid={grid}")
+
+    def test_unparsable_axis(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "ldp", "--grid=0:0.2:0.1", "--axis", "x")
+        assert "input error: --axis" in err
+
+    @pytest.mark.parametrize("interval", ["0.3", "0.3,x", "0.1,0.2,0.3"])
+    def test_unparsable_interval(self, tmp_path, capsys, interval):
+        err = self.run(
+            tmp_path, capsys, "ldp", "--grid=0:0.2:0.1",
+            "--ensemble", str(tmp_path / "ensemble_n10.csv"), "--interval", interval,
+        )
+        assert "input error: --interval" in err
+
+    def test_non_integer_horizon(self, tmp_path, capsys):
+        assert "input error: --steps" in self.run(tmp_path, capsys, "clt", "--steps", "10,x")
+
+    @pytest.mark.parametrize("argv", [["--traj", "0"], ["--traj", "10", "--y-stride", "0"]])
+    def test_zero_simulation_setting(self, tmp_path, capsys, argv):
+        err = self.run(tmp_path, capsys, "simulate", "--steps", "10", *argv)
+        assert "input error: --traj/--y-stride" in err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_negative_seed(self, tmp_path, capsys, command):
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], "--seed", "-1")
+        assert "need a seed >= 0" in err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_of_another_model(self, tmp_path, capsys, command):
+        base = ["--model", fixture("two_state.json"), "--state", fixture("state_four_transient.json")]
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+        assert "the model needs 2x2" in err
+
+    def test_one_prediction_per_ensemble(self, tmp_path, capsys):
+        err = self.run(
+            tmp_path, capsys, "compare",
+            "--ensemble", f"{tmp_path}/a.csv,{tmp_path}/b.csv",
+            "--prediction", f"{tmp_path}/a.json", base=[],
+        )
+        assert "input error: need one prediction file" in err
+
+    @pytest.mark.parametrize("planar, steps", [(True, "10"), (False, "0")])
+    def test_ldp_ensemble_that_does_not_fit(self, tmp_path, capsys, planar, steps):
+        # a planar ensemble for a model on Z, or one of zero steps, whose
+        # decay rate (1/n) log P would divide by zero
+        ens, base = tmp_path / "ens", self.BASE
+        if planar:
+            model, state = tmp_path / "model.json", tmp_path / "state.json"
+            random_irreducible_model(5, local_dim=2, lattice_dim=2).save(model)
+            DiagonalState.single_site(np.eye(2) / 2, site=(0, 0)).save(state)
+            base = ["--model", str(model), "--state", str(state)]
+        assert main([
+            "simulate", *base, "--steps", steps, "--traj", "20", "--out", str(ens),
+        ]) == 0
+        capsys.readouterr()
+        err = self.run(
+            tmp_path, capsys, "ldp", "--grid=0:0.2:0.1",
+            "--ensemble", str(ens / f"ensemble_n{steps}.csv"), "--interval", "0.1,0.2",
+        )
+        assert "input error: --ensemble" in err

@@ -6,7 +6,6 @@ from oqwalk import models
 from oqwalk.asymptotics import GaussianComponent, MixtureModel, clt_mixture
 from oqwalk.empirics import (
     EmpiricalLaw1D,
-    empirical_as_mixture,
     histogram,
     ldp_estimate,
     mixture_cdf,
@@ -24,6 +23,13 @@ def gaussian(mean, var):
 
 def single(mean=0.0, var=1.0):
     return MixtureModel(components=[(1.0, gaussian(mean, var))], horizon=1)
+
+
+def empirical_as_mixture(emp: EmpiricalLaw1D) -> MixtureModel:
+    """Encode an empirical law as an atomic mixture (for law-vs-law W1)."""
+    root_n = np.sqrt(max(emp.horizon, 1))
+    comps = [(1.0 / emp.count, gaussian(s / root_n, 0.0)) for s in emp.samples]
+    return MixtureModel(components=comps, horizon=max(emp.horizon, 1))
 
 
 def planar_model():

@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``perfbench/tracing.py``) wraps library
 functions by name and skips a name that no longer resolves, so a rename would
-silently zero that layer's metrics; and a benchmark call that no longer fits
-its signature fails only the opt-in perfbench suite. These checks make both
+silently zero that layer's metrics; a benchmark call that no longer fits its
+signature fails only the opt-in perfbench suite; and the experiment scripts
+under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead."""
 
 import ast
@@ -32,14 +33,14 @@ def test_benchmark_names_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
 
 
-def _benchmark_calls() -> list:
+def _oqwalk_calls(directory: str) -> list:
     """(location, callee, positional count, keyword names) of every call in
-    ``perfbench/*.py`` to a name bound from an oqwalk import: a module
+    ``<directory>/*.py`` to a name bound from an oqwalk import: a module
     attribute such as ``simulate.SimConfig(...)`` or an imported name such as
     ``fixed_space_dim(...)``. Calls with ``*args`` or ``**kwargs`` cannot be
     bound statically and are left out."""
     calls = []
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
+    for path in sorted((ROOT / directory).glob("*.py")):
         tree = ast.parse(path.read_text())
         bound = {}  # local name -> (oqwalk module, attribute or None)
         for node in ast.walk(tree):
@@ -73,12 +74,26 @@ def _callee_name(callee) -> str:
     return ".".join([module.removeprefix("oqwalk.")] + chain)
 
 
-BENCHMARK_CALLS = _benchmark_calls()
+BENCHMARK_CALLS = _oqwalk_calls("perfbench")
+SCRIPT_CALLS = _oqwalk_calls("scripts")
 
 
 def test_benchmark_calls_found():
     callees = {_callee_name(callee) for _, callee, _, _ in BENCHMARK_CALLS}
     assert {"simulate.SimConfig", "asymptotics.clt_mixture", "asymptotics.fixed_space_dim"} <= callees
+
+
+def test_script_calls_found():
+    callees = {_callee_name(callee) for _, callee, _, _ in SCRIPT_CALLS}
+    assert {"simulate.run", "asymptotics.clt_mixture", "structure.decompose"} <= callees
+
+
+def _bind(callee, positional: int, keywords: list) -> None:
+    module, chain = callee
+    fn = importlib.import_module(module)
+    for attr in chain:
+        fn = getattr(fn, attr)
+    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
 @pytest.mark.parametrize(
@@ -89,8 +104,14 @@ def test_benchmark_calls_found():
 def test_benchmark_calls_bind(where, callee, positional, keywords):
     """Each library call the benchmark makes still fits the signature it
     calls, so a removed or renamed parameter fails tier-1."""
-    module, chain = callee
-    fn = importlib.import_module(module)
-    for attr in chain:
-        fn = getattr(fn, attr)
-    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+    _bind(callee, positional, keywords)
+
+
+@pytest.mark.parametrize(
+    "where, callee, positional, keywords",
+    SCRIPT_CALLS,
+    ids=[f"{where}-{_callee_name(callee)}" for where, callee, _, _ in SCRIPT_CALLS],
+)
+def test_script_calls_bind(where, callee, positional, keywords):
+    """The same check for the experiment scripts, which no test runs."""
+    _bind(callee, positional, keywords)
