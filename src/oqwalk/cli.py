@@ -33,6 +33,9 @@ from .errors import (
 )
 from .structure import DiagonalState
 
+# most points a --grid may have: a grid is allocated whole before any work
+GRID_MAX_POINTS = 1_000_000
+
 
 def _parse_horizons(text: str) -> list:
     """The ``--steps`` horizons, in the order given; an empty list, a
@@ -47,13 +50,16 @@ def _parse_horizons(text: str) -> list:
 def _parse_grid(text: str) -> np.ndarray:
     """The points lo, lo + step, ... up to hi of a ``lo:hi:step`` grid. A
     grid that does not parse, is not finite, has a step <= 0 or hi < lo, or
-    has more points than numpy can index is an InputError."""
+    has more than ``GRID_MAX_POINTS`` points is an InputError."""
     with _parsing(f"--grid {text!r}"):
         lo, hi, step = (float(tok) for tok in text.split(":"))
         span = (hi - lo) / step if step > 0 else float("nan")
         if not (np.isfinite([lo, hi, step, span]).all() and hi >= lo):
             raise InputError(f"--grid: need finite lo <= hi and step > 0, got {text!r}")
-        return lo + step * np.arange(int(np.floor(span + 1e-9)) + 1)
+        count = int(np.floor(span + 1e-9)) + 1
+        if count > GRID_MAX_POINTS:
+            raise InputError(f"--grid: {text!r} has {count} points, more than {GRID_MAX_POINTS}")
+        return lo + step * np.arange(count)
 
 
 def _seed(text: str) -> int:

@@ -194,14 +194,17 @@ def ldp_estimate(samples: list, interval: tuple[float, float], axis=None) -> lis
     ``samples`` holds one (steps, displacements) pair per ensemble, the
     displacements an (N, d) array (``TrajectoryEnsemble.displacements``).
     Returns (steps, rate) per pair; the rate is -inf when no trajectory
-    lands in the interval.
+    lands in the interval. A pair with steps < 1 has no rate and raises
+    ValueError.
     """
     lo, hi = float(interval[0]), float(interval[1])
     rows = []
     for n, displacements in samples:
+        if n < 1:
+            raise ValueError(f"a decay rate needs steps >= 1, got {n}")
         disp = np.asarray(displacements, dtype=float)
         a = _resolve_axis(disp.shape[1], axis)
-        values = (disp @ a) / max(n, 1)
+        values = (disp @ a) / n
         freq = float(np.mean((values >= lo) & (values <= hi)))
         rate = np.log(freq) / n if freq > 0 else float("-inf")
         rows.append((n, float(rate)))

@@ -75,8 +75,9 @@ class Subspace:
         return Subspace(v.shape[0], q[:, :rank])
 
 
-def support_projection(h: np.ndarray) -> Subspace:
-    """Support (range) of a positive semidefinite matrix, as a subspace.
+def support_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a positive semidefinite matrix that count toward its
+    support, ascending, and their orthonormal eigenvectors (columns).
 
     Eigenvalues above ``TOL_RANK * ||h||`` count toward the support. Raises
     NotHermitianError / NegativeEigenvalueError when ``h`` is not a valid
@@ -91,7 +92,13 @@ def support_projection(h: np.ndarray) -> Subspace:
     if w.size and w[0] < -TOL_RANK * max(scale, 1.0):
         raise NegativeEigenvalueError(f"minimum eigenvalue {w[0]:.3e}")
     keep = w > TOL_RANK * max(scale, 1.0)
-    return Subspace(h.shape[0], v[:, keep])
+    return w[keep], v[:, keep]
+
+
+def support_projection(h: np.ndarray) -> Subspace:
+    """Support (range) of a positive semidefinite matrix, as a subspace (see
+    ``support_eigenpairs``)."""
+    return Subspace(np.shape(h)[0], support_eigenpairs(h)[1])
 
 
 def _dominant_index(vals: np.ndarray) -> int:

@@ -20,34 +20,66 @@ run, so no horizon's ensemble comes back from it.
 
 Parallel schedule: ``run`` splits the trajectories [0, N) into W contiguous
 slices, one per core the process may run on (``os.sched_getaffinity``, or
-``os.cpu_count`` where that is missing), at most N. The calling process steps
-slice 0; each other slice runs in a ``fork``ed child that sends its rows of
-the outputs back through a pipe. Every slice steps in ``CHUNK`` pieces, and a
-state's update does not depend on how many states share its chunk, so the
-outputs are the same bits for every W. An exception raised in a child is
-raised in the caller with its type and message, and every child is reaped
-before ``run`` returns or raises.
+``os.cpu_count`` where that is missing), each of at least
+``PARALLEL_MIN_SLICE`` trajectories. The calling process steps slice 0; each
+other slice runs in a ``fork``ed child that sends its rows of the outputs
+back through a pipe. Every slice steps in ``CHUNK`` pieces, and a state's
+update does not depend on how many states share its chunk, so the outputs
+are the same bits for every W. An exception raised in a child is raised in
+the caller with its type and message, and every child is reaped before
+``run`` returns or raises.
 
-Runs of fewer than ``PARALLEL_MIN_WORK`` trajectory-steps keep W = 1 and
-never fork: below it the fork and join (about 11 ms in a 100-200 MB process
-on a 2-core Xeon) plus the per-step overhead that every slice pays again
-cost more than the shared work saves. So do platforms without ``os.fork``
-and processes in which other Python threads run. ``taskset -c 0`` gives a
-serial run. While the slices run, every OpenBLAS the process has loaded is
-held to one thread, and the children inherit that: two processes with two
-BLAS threads each made a 16384 x 600 run on two cores 2.7x slower than one
-process. The caller's thread counts are restored afterwards; other BLAS
-libraries are left as they are.
+Runs of fewer than 2 * ``PARALLEL_MIN_SLICE`` trajectories therefore keep
+W = 1 and never fork. Each slice pays the per-step numpy-call cost of its
+chunk again, and the fork and join cost about 11 ms in a 100-200 MB process.
+On a 2-core Xeon, W = 2 lost to W = 1 at 256 to 1024 trajectories at 50 to
+600 steps and won from 2048 trajectories on, at 1 to 600 steps, so the
+trajectory count decides, not the step count. Platforms without ``os.fork``
+and processes in which other Python threads run keep W = 1 too, and
+``taskset -c 0`` gives a serial run. While the slices run, every OpenBLAS
+the process has loaded is held to one thread, and the children inherit
+that: two processes with two BLAS threads each made a 16384 x 600 run on two
+cores 2.7x slower than one process. The caller's thread counts are restored
+afterwards; other BLAS libraries are left as they are.
 
-The batched step precomputes the effects M_j = L_j* L_j once per run, so the
-branch probabilities p_j = Tr(M_j rho) = Re<M_j, rho> of a whole chunk are
-one real matrix product, O(v h^2) per trajectory. The update then groups the
-chunk by chosen branch: the trajectories that drew branch j share two BLAS
-products with L_j, so a step costs 2v calls instead of two per trajectory
-(see ``_apply_branches``). Renormalization scales the real view of each
-state by 1/Tr. Uniforms are drawn in blocks of ``DRAW_BLOCK`` steps from
-the chunk's generators; consecutive draws continue the same stream, so
-blocking changes no value.
+State forms: a trajectory's state rho_n = F_n F_n* keeps the rank r of its
+start, so it can be stepped as an h x r factor F <- L_j F / sqrt(p_j), with
+p_j = ||L_j F||^2. This is the same trajectory as stepping rho, not another
+unravelling. ``run`` factors each normalized site matrix as F = V sqrt(Lambda)
+over the eigenpairs that ``linalg.support_eigenpairs`` keeps, pads F to the
+largest rank, and steps factors when v r <= h (v branches) and every F F*
+reproduces its site matrix to ``FACTOR_TOL`` in each entry; otherwise it
+steps densities. The switch is measured (one BLAS thread, 2-core Xeon, run
+time per trajectory-step): at v r <= h factors were faster at every (h, v, r)
+tried on random models, h from 2 to 16 and v = 2 and 4, and from v r = 1.5 h
+on densities mostly were. At h = 4 and v = 2 factors took 0.58x the time of
+densities from rank 1 (``certify_h4``'s start), 1.15x from rank 3 (criterion
+07's start) and 1.35x from full rank; full-rank starts took 1.25x at h = 8
+and 1.05x at h = 16. Both forms share the chunk loop (streams, site draw,
+branch choice, positions and records); they differ only in how they get the
+branch probabilities, apply the chosen branch and read a track:
+
+- ``_Densities`` precomputes the effects M_j = L_j* L_j once per run, so the
+  probabilities p_j = Re<M_j, rho> of a whole chunk are one real matrix
+  product. The update groups the chunk by chosen branch: the trajectories
+  that drew branch j share two BLAS products with L_j (``_apply_branches``).
+  Renormalization scales the real view of each state by 1/Tr, and every
+  ``REHERMITIZE_EVERY`` steps the states are made Hermitian again.
+- ``_Factors`` holds the rows of F^T, a (c, r, h) array. One row-stacked
+  product with [L_1^T ... L_v^T] gives every branch's L_j F, whose real view
+  gives the p_j; the chosen product is scaled by 1/sqrt(p_j). F F* is
+  Hermitian and positive semidefinite by construction, so this form needs no
+  rehermitization. A track is sum_k f_k* A f_k over the columns f_k of F.
+
+The complex products stack the chunk's states as rows (``_apply_branches``,
+``_rows_times``), so a state's result does not depend on the chunk size.
+
+Positions agree between the forms bit for bit wherever no uniform falls
+within roundoff of a branch boundary; track values agree to about 1e-14.
+
+Uniforms are drawn in blocks of ``DRAW_BLOCK`` steps from the chunk's
+generators; consecutive draws continue the same stream, so blocking changes
+no value.
 """
 
 from __future__ import annotations
@@ -65,14 +97,23 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import WalkModel
-from .errors import DegenerateStepError, MissingTrackError, NumericalDegeneracyError
+from .errors import (
+    DegenerateStepError,
+    MissingTrackError,
+    NegativeEigenvalueError,
+    NotHermitianError,
+    NumericalDegeneracyError,
+)
+from .linalg import support_eigenpairs
 from .structure import DiagonalState
 
 CHUNK = 4096
 DRAW_BLOCK = 256
 REHERMITIZE_EVERY = 50
-# trajectories x steps from which a run forks workers (see the module text)
-PARALLEL_MIN_WORK = 200_000
+# largest entry by which F F* may miss a normalized site matrix on the factor path
+FACTOR_TOL = 1e-14
+# fewest trajectories a slice of a forked run steps (see the module text)
+PARALLEL_MIN_SLICE = 1024
 # final absorption-track values that count as absorbed / as escaped
 ABSORBED_HI, ABSORBED_LO = 0.99, 0.01
 
@@ -165,6 +206,116 @@ def _apply_branches(
         states[idx] = (left @ kraus_dag[j]).reshape(-1, h, h)
 
 
+class _Densities:
+    """A chunk's states as (c, h, h) density matrices.
+
+    ``branches`` gives p_j = Re<M_j, rho> from one real product with the
+    effects M_j = L_j* L_j; ``take`` applies only the chosen branch
+    (``_apply_branches``) and reads its weight off the new trace.
+    """
+
+    def __init__(self, kraus: np.ndarray, site_mats: np.ndarray):
+        v, h = kraus.shape[0], kraus.shape[1]
+        self.starts = site_mats
+        self.kraus_t = np.ascontiguousarray(kraus.transpose(0, 2, 1))
+        self.kraus_dag = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
+        # Re<M_j, rho> is the dot product of the interleaved (re, im) entries
+        self.effects = (self.kraus_dag @ kraus).view(float).reshape(v, 2 * h * h).T.copy()
+
+    def branches(self, states):
+        return states.view(float).reshape(len(states), -1) @ self.effects, None
+
+    def take(self, states, products, probs, chosen):
+        _apply_branches(states, chosen, self.kraus_t, self.kraus_dag)
+        return states, np.einsum("naa->n", states).real
+
+    @staticmethod
+    def normalize(states, weights, n):
+        # numpy divides by tr + 0j as (re, im) * (1 / tr): same rounding, half the cost
+        states.view(float)[...] *= (1.0 / weights)[:, None, None]
+        if n % REHERMITIZE_EVERY == 0:
+            states = 0.5 * (states + states.conj().transpose(0, 2, 1))
+        return states
+
+    @staticmethod
+    def track(op, states):
+        return np.einsum("ab,nba->n", op, states).real
+
+
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` for a 2-D ``rows``, each row the same bits whatever the
+    row count: numpy hands a single row to gemv, which rounds otherwise than
+    gemm, so a single row is computed as two."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ mat)[:1]
+    return rows @ mat
+
+
+class _Factors:
+    """A chunk's states rho = F F* as (c, r, h) arrays of the rows of F^T.
+
+    ``branches`` forms every branch's (L_j F)^T with one row-stacked product
+    (c r x h) @ [L_1^T ... L_v^T] and p_j = ||L_j F||^2 from its real view;
+    ``take`` keeps the chosen branch's product. F F* is Hermitian and
+    positive semidefinite by construction, so no step restores either.
+    """
+
+    def __init__(self, kraus: np.ndarray, factors: np.ndarray):
+        self.starts = factors
+        self.stacked = np.hstack(kraus.transpose(0, 2, 1))
+
+    def branches(self, states):
+        c, r, h = states.shape
+        products = _rows_times(states.reshape(c * r, h), self.stacked).reshape(c, r, -1, h)
+        parts = products.view(float)
+        return np.einsum("nrjk,nrjk->nj", parts, parts), products
+
+    @staticmethod
+    def take(states, products, probs, chosen):
+        rows = np.arange(len(chosen))
+        return products[rows, :, chosen], probs[rows, chosen]
+
+    @staticmethod
+    def normalize(states, weights, n):
+        states.view(float)[...] *= (1.0 / np.sqrt(weights))[:, None, None]
+        return states
+
+    @staticmethod
+    def track(op, states):
+        # sum over the columns f of F of Re f* A f, a dot product of real views
+        c, r, h = states.shape
+        applied = _rows_times(states.reshape(c * r, h), op.T).view(float).reshape(c, -1)
+        return np.einsum("nk,nk->n", states.view(float).reshape(c, -1), applied)
+
+
+def _factors_pay(num_kraus: int, rank: int, h: int) -> bool:
+    """The measured switch between the state forms (see the module text)."""
+    return num_kraus * rank <= h
+
+
+def _site_factors(site_mats: np.ndarray, num_kraus: int) -> np.ndarray | None:
+    """Rows of F^T for each site matrix rho = F F*, F = V sqrt(Lambda) over
+    the support eigenpairs, zero-padded to the largest rank r: an (S, r, h)
+    array. None where factors do not pay (``_factors_pay``) or where some
+    F F* misses its site matrix by more than FACTOR_TOL in an entry, so that
+    dropped eigenvalues cannot move a branch pick."""
+    h = site_mats.shape[1]
+    try:
+        pairs = [support_eigenpairs(m) for m in site_mats]
+    except (NotHermitianError, NegativeEigenvalueError):
+        # a site of small trace passes the state's absolute checks but can
+        # fail them once normalized; the density form steps it as given
+        return None
+    r = max(len(w) for w, _ in pairs)
+    if not _factors_pay(num_kraus, r, h):
+        return None
+    rows = np.zeros((len(site_mats), r, h), dtype=complex)
+    for k, (w, vecs) in enumerate(pairs):
+        rows[k, : len(w)] = (vecs * np.sqrt(w)).T
+    miss = np.abs(rows.transpose(0, 2, 1) @ rows.conj() - site_mats).max()
+    return rows if miss <= FACTOR_TOL else None
+
+
 def _available_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -172,18 +323,14 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(n_traj: int, n_steps: int) -> int:
-    """Slices a run is split into: one per available core, at most one per
-    trajectory, and 1 below ``PARALLEL_MIN_WORK``, without ``os.fork``, or
-    while other Python threads run (a forked child could inherit a lock one
-    of them holds)."""
-    if (
-        n_traj * n_steps < PARALLEL_MIN_WORK
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1
-    ):
+def _worker_count(n_traj: int) -> int:
+    """Slices a run is split into: one per available core, each of at least
+    ``PARALLEL_MIN_SLICE`` trajectories, and 1 without ``os.fork`` or while
+    other Python threads run (a forked child could inherit a lock one of them
+    holds)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(_available_cores(), n_traj)
+    return max(1, min(_available_cores(), n_traj // PARALLEL_MIN_SLICE))
 
 
 def _run_slices(step_slice, bounds: list, outputs: list) -> None:
@@ -300,7 +447,7 @@ def run(
     """
     tracks = tracks or {}
     n_traj, n_steps = config.trajectories, config.steps
-    d, h = model.lattice_dim, model.local_dim
+    d = model.lattice_dim
     # the columns of every horizon's snapshot grid; each horizon is among them
     snap = np.union1d(
         _snapshot_steps(n_steps, config.y_stride), np.array(config.horizons, dtype=int)
@@ -309,20 +456,19 @@ def run(
     marks = {int(s): (i, cuts.get(int(s))) for i, s in enumerate(snap)}
 
     sites = sorted(rho.entries.keys())
+    traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
+    # a site of trace 0 is never drawn; it keeps its (zero) matrix
     site_mats = np.array(
-        [rho.entries[s] / np.trace(rho.entries[s]).real for s in sites]
+        [rho.entries[s] / (t if t > 0 else 1.0) for s, t in zip(sites, traces)]
     )
     site_pos = np.array(sites, dtype=int).reshape(len(sites), d)
-    traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
     site_cdf = np.cumsum(traces)
     site_cdf /= site_cdf[-1]
 
     kraus = model.kraus
-    kraus_t = np.ascontiguousarray(kraus.transpose(0, 2, 1))
-    kraus_dag = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
     num_kraus = kraus.shape[0]
-    # Re<M_j, rho> is the dot product of the interleaved (re, im) entries
-    effects = (kraus_dag @ kraus).view(float).reshape(num_kraus, 2 * h * h).T.copy()
+    factors = _site_factors(site_mats, num_kraus)
+    form = _Densities(kraus, site_mats) if factors is None else _Factors(kraus, factors)
     shifts = model.shifts
     track_ids = sorted(tracks.keys())
     track_ops = [np.asarray(tracks[t], dtype=complex) for t in track_ids]
@@ -344,7 +490,7 @@ def run(
             np.searchsorted(site_cdf, [g.random() for g in rngs], side="right"),
             len(sites) - 1,
         )
-        states = site_mats[site_idx].copy()
+        states = form.starts[site_idx]
         positions = site_pos[site_idx].copy()
         initial[lo:hi] = positions
 
@@ -356,7 +502,7 @@ def run(
             if cut is not None:
                 cut[lo:hi] = positions
             for tid, op in zip(track_ids, track_ops):
-                vals = np.einsum("ab,nba->n", op, states).real
+                vals = form.track(op, states)
                 if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
                     raise NumericalDegeneracyError(
                         f"track {tid!r} left [0,1]: range "
@@ -371,7 +517,7 @@ def run(
                 uniforms = block[:, : min(DRAW_BLOCK, n_steps - n + 1)]
                 for g, row in zip(rngs, uniforms):
                     g.random(out=row)
-            probs = states.view(float).reshape(c, 2 * h * h) @ effects
+            probs, products = form.branches(states)
             np.clip(probs, 0.0, None, out=probs)
             totals = probs.sum(axis=1)
             if not np.all(totals >= 1e-14):
@@ -380,20 +526,16 @@ def run(
             chosen = np.minimum(
                 (cdf < uniforms[:, k, None]).sum(axis=1), num_kraus - 1
             )
-            _apply_branches(states, chosen, kraus_t, kraus_dag)
-            tr = np.einsum("naa->n", states).real
-            if not np.all(tr >= 1e-14):
+            states, weights = form.take(states, products, probs, chosen)
+            if not np.all(weights >= 1e-14):
                 raise DegenerateStepError("selected branch has vanishing probability")
-            # numpy divides by tr + 0j as (re, im) * (1 / tr): same rounding, half the cost
-            states.view(float)[...] *= (1.0 / tr)[:, None, None]
+            states = form.normalize(states, weights, n)
             positions += shifts[chosen]
-            if n % REHERMITIZE_EVERY == 0:
-                states = 0.5 * (states + states.conj().transpose(0, 2, 1))
             record(n)
 
         final[lo:hi] = positions
 
-    workers = _worker_count(n_traj, n_steps)
+    workers = _worker_count(n_traj)
     bounds = [n_traj * k // workers for k in range(workers + 1)]
     outputs = [initial, final] + [y_out[t] for t in track_ids] + list(cuts.values())
     _run_slices(step_slice, bounds, outputs)

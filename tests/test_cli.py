@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqwalk import asymptotics, simulate, structure
-from oqwalk.cli import main
+from oqwalk import asymptotics, cli, simulate, structure
+from oqwalk.cli import InputError, main
 from oqwalk.structure import DiagonalState
 from util import random_irreducible_model
 
@@ -570,6 +570,17 @@ class TestInputErrors:
         argv = ["--steps", "10"] if command == "clt" else []
         err = self.run(tmp_path, capsys, command, *argv, f"--grid={grid}")
         assert "input error: --grid" in err
+
+    @pytest.mark.parametrize("command", ["clt", "ldp"])
+    def test_grid_with_too_many_points(self, tmp_path, capsys, command):
+        # 10^15 points; allocating them would fail with a MemoryError
+        argv = ["--steps", "10"] if command == "clt" else []
+        err = self.run(tmp_path, capsys, command, *argv, "--grid=0:1e12:1e-3")
+        assert "input error: --grid" in err and "more than" in err
+        last = (cli.GRID_MAX_POINTS - 1) * 1e-3
+        assert len(cli._parse_grid(f"0:{last}:1e-3")) == cli.GRID_MAX_POINTS
+        with pytest.raises(InputError):
+            cli._parse_grid(f"0:{last + 1e-3}:1e-3")
 
     @pytest.mark.parametrize("grid", ["0:1", "0:x:0.1", "0:1:0.1:2"])
     def test_unparsable_grid(self, tmp_path, capsys, grid):

@@ -177,6 +177,11 @@ class TestLdpEstimate:
         assert n == 400
         assert abs(rate) <= 0.01
 
+    def test_zero_steps_rejected(self):
+        # log(freq) / 0 would be nan, with a RuntimeWarning
+        with pytest.raises(ValueError, match="steps >= 1"):
+            ldp_estimate([(10, np.zeros((4, 1))), (0, np.zeros((4, 1)))], (-0.1, 0.1))
+
     def test_empty_interval_sentinel(self, two_state):
         rho = DiagonalState.single_site(np.diag([0.0, 1.0]).astype(complex))
         ens = run(two_state, rho, SimConfig(steps=50, trajectories=100, seed=7))

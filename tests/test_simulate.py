@@ -43,7 +43,7 @@ def transient_rho():
 def force_workers(monkeypatch, workers):
     """Make every run, however small, split into ``workers`` slices; returns
     a list that collects the pid of every child forked from now on."""
-    monkeypatch.setattr(simulate, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(simulate, "PARALLEL_MIN_SLICE", 1)
     monkeypatch.setattr(simulate, "_available_cores", lambda: workers)
     forked, fork = [], os.fork
 
@@ -55,6 +55,19 @@ def force_workers(monkeypatch, workers):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forked
+
+
+def full_and_low_rank(dims):
+    """Each local dimension h with a full-rank start (id "h", the density
+    form) and with a start of rank max(1, h // 4), which steps factors on
+    walks of up to four branches (id "h-low-rank")."""
+    return [pytest.param(h, None, id=str(h)) for h in dims] + [
+        pytest.param(h, max(1, h // 4), id=f"{h}-low-rank") for h in dims
+    ]
+
+
+def normalized_sites(rho):
+    return np.array([m / np.trace(m).real for m in rho.entries.values()])
 
 
 def assert_same_ensemble(a, b):
@@ -188,13 +201,13 @@ class TestRun:
         assert np.array_equal(a.final_positions, b.final_positions)
         assert np.array_equal(a.initial_positions, b.initial_positions)
 
-    @pytest.mark.parametrize("local_dim", [2, 3, 5, 8])
-    def test_schedule_independence_with_tracks(self, monkeypatch, local_dim):
+    @pytest.mark.parametrize("local_dim, rank", full_and_low_rank([2, 3, 5, 8]))
+    def test_schedule_independence_with_tracks(self, monkeypatch, local_dim, rank):
         # the last bits of a state must not depend on how many trajectories
         # share its chunk, so the tracks are compared exactly
         rng = np.random.default_rng(40 + local_dim)
         model = random_walk_model(rng, local_dim)
-        rho = DiagonalState.single_site(random_density(rng, local_dim))
+        rho = DiagonalState.single_site(random_density(rng, local_dim, rank))
         proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
         cfg = SimConfig(steps=60, trajectories=120, seed=local_dim, y_stride=7)
         ensembles = []
@@ -259,14 +272,17 @@ class TestRun:
         self.test_reproducible_digest(monkeypatch, four_state_module, edge_absorption)
         assert len(forked) == 1
 
-    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
-    def test_worker_independence(self, monkeypatch, local_dim):
+    @pytest.mark.parametrize("local_dim, rank", full_and_low_rank([2, 3, 4, 5, 8]))
+    def test_worker_independence(self, monkeypatch, local_dim, rank):
         # 2 and 3 slices of 121 trajectories are uneven and end in part-filled
         # chunks; forked slices must return the caller's bits exactly
         rng = np.random.default_rng(60 + local_dim)
         model = random_walk_model(rng, local_dim)
         rho = DiagonalState(
-            {(0,): 0.5 * random_density(rng, local_dim), (3,): 0.5 * random_density(rng, local_dim)}
+            {
+                (0,): 0.5 * random_density(rng, local_dim, rank),
+                (3,): 0.5 * random_density(rng, local_dim, rank),
+            }
         )
         proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
         tracks = {"p": proj.astype(complex), "q": (np.eye(local_dim) - proj).astype(complex)}
@@ -286,8 +302,8 @@ class TestRun:
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
-    def test_horizon_cuts_match_standalone(self, monkeypatch, local_dim):
+    @pytest.mark.parametrize("local_dim, rank", full_and_low_rank([2, 3, 4, 5, 8]))
+    def test_horizon_cuts_match_standalone(self, monkeypatch, local_dim, rank):
         # with y_stride 9 the horizons 13 and 20 are off the snapshot grid, and
         # with DRAW_BLOCK 8 the runs that stop there draw part-filled blocks
         # that the run to 45 draws whole; 37 trajectories end in a part-filled
@@ -301,8 +317,8 @@ class TestRun:
             far = (3,) + (0,) * (lattice_dim - 1)
             rho = DiagonalState(
                 {
-                    (0,) * lattice_dim: 0.5 * random_density(rng, local_dim),
-                    far: 0.5 * random_density(rng, local_dim),
+                    (0,) * lattice_dim: 0.5 * random_density(rng, local_dim, rank),
+                    far: 0.5 * random_density(rng, local_dim, rank),
                 }
             )
             proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
@@ -321,6 +337,72 @@ class TestRun:
                     assert_same_ensemble(full.at(n), alone[n])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (1, 2)], ids=["rank-1", "rank-2", "mixed-rank"])
+    def test_factor_and_density_forms_agree(self, monkeypatch, local_dim, ranks):
+        # both forms step the same trajectories: positions agree exactly (no
+        # uniform falls within roundoff of a branch boundary here) and tracks
+        # to roundoff, whichever form the switch would pick
+        rng = np.random.default_rng(100 + local_dim)
+        model = random_walk_model(rng, local_dim)
+        rho = DiagonalState(
+            {(3 * k,): random_density(rng, local_dim, r) / 2 for k, r in enumerate(ranks)}
+        )
+        proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
+        tracks = {"p": proj.astype(complex), "q": (np.eye(local_dim) - proj).astype(complex)}
+        cfg = SimConfig(steps=60, trajectories=200, seed=local_dim, y_stride=6)
+        ensembles = []
+        for pays in (True, False):
+            monkeypatch.setattr(simulate, "_factors_pay", lambda v, r, h, pays=pays: pays)
+            factors = simulate._site_factors(normalized_sites(rho), model.kraus.shape[0])
+            assert (factors is not None) == pays
+            if pays:
+                assert factors.shape == (len(ranks), max(ranks), local_dim)
+            ensembles.append(run(model, rho, cfg, tracks=tracks))
+        factored, dense = ensembles
+        assert np.array_equal(factored.initial_positions, dense.initial_positions)
+        assert np.array_equal(factored.final_positions, dense.final_positions)
+        for tid in tracks:
+            np.testing.assert_allclose(factored.y_tracks[tid], dense.y_tracks[tid], rtol=0, atol=1e-12)
+
+    def test_form_switch(self, four_state_module, transient_rho):
+        # v r <= h steps factors: the rank-1 transient start and a rank-2
+        # start do on the four-level walk (v = 2, h = 4), the rank-3 balanced
+        # start and a full-rank h = 16 start do not
+        v = four_state_module.kraus.shape[0]
+        assert simulate._site_factors(normalized_sites(transient_rho), v).shape == (1, 1, 4)
+        rank_two = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+        assert simulate._site_factors(rank_two[None], v).shape == (1, 2, 4)
+        balanced = np.diag([0.0, 1 / 3, 1 / 3, 1 / 3]).astype(complex)
+        assert simulate._site_factors(balanced[None], v) is None
+        full = random_density(np.random.default_rng(16), 16)
+        assert simulate._site_factors(full[None], v) is None
+
+    def test_inexact_factors_take_the_density_path(self, monkeypatch, four_state_module):
+        # the eigenvalue 1e-12 lies below the support rule, so the start has
+        # rank 1, but F F* would miss it by 1e-12 > FACTOR_TOL
+        near_pure = np.diag([1.0 - 1e-12, 1e-12, 0.0, 0.0]).astype(complex)
+        pure = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        assert simulate._site_factors(np.array([pure, near_pure]), 2) is None
+        built, densities = [], simulate._Densities
+        monkeypatch.setattr(
+            simulate, "_Densities", lambda *args: built.append(args) or densities(*args)
+        )
+        rho = DiagonalState({(0,): pure / 2, (1,): near_pure / 2})
+        run(four_state_module, rho, SimConfig(steps=3, trajectories=4, seed=0))
+        assert len(built) == 1
+
+    def test_site_failing_the_support_rule_once_normalized(self, two_state):
+        # the small site passes the state's absolute Hermiticity check, but
+        # divided by its trace 1e-3 it deviates by 7e-8 > TOL_RANK: the run
+        # steps densities, as it would without factors
+        small = np.diag([1e-3, 0.0]).astype(complex)
+        small[0, 1] = 5e-11
+        rho = DiagonalState({(0,): np.diag([0.999, 0.0]), (1,): small})
+        assert simulate._site_factors(normalized_sites(rho), 2) is None
+        ens = run(two_state, rho, SimConfig(steps=3, trajectories=20, seed=0))
+        assert set(ens.initial_positions[:, 0]) <= {0, 1}
 
     def test_horizons_outside_the_run_rejected(self, four_state_module, transient_rho):
         for horizons in [(-1,), (3, 11)]:
@@ -397,10 +479,10 @@ class TestRun:
         assert caller == [[1] * len(blas)] * 4
         assert [get() for get, _ in blas] == before
 
-    @pytest.mark.parametrize("size", ["analysis_h16", "smoke"])
+    @pytest.mark.parametrize("size", ["analysis_h16", "smoke", "few_trajectories"])
     def test_small_runs_stay_in_process(self, monkeypatch, four_state_module, transient_rho, size):
         def no_fork():
-            raise AssertionError("run forked below PARALLEL_MIN_WORK")
+            raise AssertionError("run forked below 2 * PARALLEL_MIN_SLICE trajectories")
 
         monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork)
@@ -408,22 +490,29 @@ class TestRun:
             rng = np.random.default_rng(16)
             model, rho = random_walk_model(rng, 16), DiagonalState.single_site(random_density(rng, 16))
             cfg = SimConfig(steps=32, trajectories=384, seed=1, y_stride=32)
-        else:  # certify_h4's longer horizon at the benchmark's smoke size
+        elif size == "smoke":  # certify_h4's longer horizon at the benchmark's smoke size
             model, rho = four_state_module, transient_rho
             cfg = SimConfig(steps=600, trajectories=256, seed=1, y_stride=50)
+        else:  # many trajectory-steps, but too few trajectories for two slices
+            model, rho = four_state_module, transient_rho
+            cfg = SimConfig(steps=200, trajectories=2 * simulate.PARALLEL_MIN_SLICE - 1, seed=1)
         run(model, rho, cfg)
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(simulate, "_available_cores", lambda: 8)
-        assert simulate._worker_count(4096, 600) == 8
-        assert simulate._worker_count(3, 10**6) == 3
-        assert simulate._worker_count(384, 32) == 1
-        assert simulate._worker_count(4096, 0) == 1
+        least = simulate.PARALLEL_MIN_SLICE
+        assert simulate._worker_count(10**6) == 8
+        assert simulate._worker_count(4 * least) == 4
+        assert simulate._worker_count(2 * least) == 2
+        assert simulate._worker_count(2 * least - 1) == 1
+        assert simulate._worker_count(384) == 1
+        monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+        assert simulate._worker_count(4096) == 2  # certify_h4 forks
         release = threading.Event()
         other = threading.Thread(target=release.wait, daemon=True)
         other.start()
         try:
-            assert simulate._worker_count(4096, 600) == 1
+            assert simulate._worker_count(4096) == 1
         finally:
             release.set()
             other.join(timeout=10)
@@ -441,6 +530,15 @@ class TestRun:
         monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws(u))
         with pytest.raises(DegenerateStepError):
             run(model, DiagonalState.single_site(e0), SimConfig(steps=3, trajectories=4, seed=0))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_zero_trace_site_never_drawn(self, two_state, rank):
+        # the site's matrix cannot be normalized; on either state form it is
+        # never drawn and raises no warning
+        mat = random_density(np.random.default_rng(rank), 2, rank)
+        rho = DiagonalState({(0,): 0.0 * mat, (1,): mat})
+        ens = run(two_state, rho, SimConfig(steps=3, trajectories=50, seed=1))
+        assert np.all(ens.initial_positions == 1)
 
     def test_zero_steps(self, two_state):
         tau = np.diag([0.0, 1.0]).astype(complex)
@@ -487,6 +585,26 @@ class TestApplyBranches:
             assert np.array_equal(out, plain)
         else:
             np.testing.assert_allclose(out, plain, rtol=0, atol=1e-14)
+
+
+class TestFactors:
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rows_do_not_depend_on_chunk_size(self, local_dim, rank):
+        # a chunk of one state must give the bits it gets among others: numpy
+        # hands a single row to gemv, which rounds otherwise than gemm
+        rng = np.random.default_rng(70 + local_dim)
+        factors = simulate._Factors(random_walk_model(rng, local_dim).kraus, None)
+        shape = (9, rank, local_dim)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        op = random_density(rng, local_dim)
+        probs, products = factors.branches(states)
+        tracks = factors.track(op, states)
+        for i in range(len(states)):
+            one = states[i : i + 1].copy()
+            assert np.array_equal(factors.branches(one)[1], products[i : i + 1])
+            assert np.array_equal(factors.branches(one)[0], probs[i : i + 1])
+            assert np.array_equal(factors.track(op, one), tracks[i : i + 1])
 
 
 class TestMartingale:

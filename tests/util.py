@@ -6,8 +6,10 @@ from oqwalk.channel import WalkModel
 from oqwalk.linalg import Subspace
 
 
-def random_density(rng, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
+    """Random density matrix of rank ``rank`` (full rank by default)."""
+    cols = dim if rank is None else rank
+    g = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
     s = g @ g.conj().T
     return s / np.trace(s).real
 
