@@ -63,9 +63,11 @@ class WalkModel:
     """Shift vectors and Kraus operators of a homogeneous open quantum walk.
 
     A model is immutable: it holds read-only copies of the arrays it was
-    given, so structure computed from it (see ``structure.recurrent_space``
-    and ``structure.absorption``) is stored in ``_memo`` once and never goes
-    stale.
+    given, so structure computed from it never goes stale. ``cached`` is the
+    one memo: the recurrent split, each absorption operator and each
+    ``decompose(model, seed)`` are built on first use and shared after, so
+    what they return is read-only. Copies and pickles start with an empty
+    memo.
     """
 
     shifts: np.ndarray  # (v, d) integer lattice vectors
@@ -93,6 +95,16 @@ class WalkModel:
     def __reduce__(self):
         # rebuild through __post_init__: copies stay read-only, the memo empty
         return (WalkModel, (self.shifts, self.kraus))
+
+    def cached(self, key, build):
+        """The value stored under ``key``, made by ``build()`` on first use.
+
+        The stored value is shared by every later caller, so ``build`` must
+        return it read-only (tuples, arrays with ``writeable`` off).
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def lattice_dim(self) -> int:

@@ -339,10 +339,9 @@ def cmd_compare(args) -> int:
                 f"{disp.shape[1]}-dimensional ensemble {ens_path}"
             )
         axis = _parse_axis(args.axis, disp.shape[1])
-        values = (disp @ axis) / np.sqrt(n) if n > 0 else disp @ axis
-        law = empirics.EmpiricalLaw1D(samples=values, horizon=n)
+        law = empirics.rescaled_law(disp, n, axis)
         report = empirics.w1_distance(law, mixture, axis)
-        out_rows.append([str(n), str(len(values)), _fmt(report.w1), _fmt(report.ks)])
+        out_rows.append([str(n), str(law.count), _fmt(report.w1), _fmt(report.ks)])
         print(f"n={n}: W1={report.w1:.5f} KS={report.ks:.5f}")
     _write_csv(Path(args.out) / "distances.csv", ["n", "N", "w1", "ks"], out_rows)
     return 0

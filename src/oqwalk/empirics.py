@@ -56,10 +56,14 @@ def _resolve_axis(dim: int, axis) -> np.ndarray:
 
 def rescale(ensemble: TrajectoryEnsemble, axis=None) -> EmpiricalLaw1D:
     """Samples of (displacement . axis) / sqrt(steps)."""
-    disp = ensemble.displacements.astype(float)
-    a = _resolve_axis(disp.shape[1], axis)
-    n = ensemble.config.steps
-    values = disp @ a
+    return rescaled_law(ensemble.displacements, ensemble.config.steps, axis)
+
+
+def rescaled_law(displacements, n: int, axis=None) -> EmpiricalLaw1D:
+    """Law of (displacement . axis) / sqrt(n) over the rows of an (N, d)
+    array of n-step displacements; at n = 0 the projections are not scaled."""
+    disp = np.asarray(displacements, dtype=float)
+    values = disp @ _resolve_axis(disp.shape[1], axis)
     if n > 0:
         values = values / np.sqrt(n)
     return EmpiricalLaw1D(samples=values, horizon=n)

@@ -60,9 +60,10 @@ branch choice, positions and records); they differ only in how they get the
 branch probabilities, apply the chosen branch and read a track:
 
 - ``_Densities`` precomputes the effects M_j = L_j* L_j once per run, so the
-  probabilities p_j = Re<M_j, rho> of a whole chunk are one real matrix
-  product. The update groups the chunk by chosen branch: the trajectories
-  that drew branch j share two BLAS products with L_j (``_apply_branches``).
+  probabilities p_j = Re<M_j, rho> of a whole chunk are one row-stacked
+  complex matrix product. The update groups the chunk by chosen branch: the
+  trajectories that drew branch j share two BLAS products with L_j
+  (``_apply_branches``).
   Renormalization scales the real view of each state by 1/Tr, and every
   ``REHERMITIZE_EVERY`` steps the states are made Hermitian again.
 - ``_Factors`` holds the rows of F^T, a (c, r, h) array. One row-stacked
@@ -73,6 +74,9 @@ branch probabilities, apply the chosen branch and read a track:
 
 The complex products stack the chunk's states as rows (``_apply_branches``,
 ``_rows_times``), so a state's result does not depend on the chunk size.
+A real product would not do for the density-form probabilities: OpenBLAS
+rounds the last c mod 4 rows of a (c x 2h^2) @ (2h^2 x 2) product otherwise
+than the same rows inside a longer one.
 
 Positions agree between the forms bit for bit wherever no uniform falls
 within roundoff of a branch boundary; track values agree to about 1e-14.
@@ -209,9 +213,10 @@ def _apply_branches(
 class _Densities:
     """A chunk's states as (c, h, h) density matrices.
 
-    ``branches`` gives p_j = Re<M_j, rho> from one real product with the
-    effects M_j = L_j* L_j; ``take`` applies only the chosen branch
-    (``_apply_branches``) and reads its weight off the new trace.
+    ``branches`` gives p_j = Re<M_j, rho> from one row-stacked complex
+    product with the effects M_j = L_j* L_j; ``take`` applies only the
+    chosen branch (``_apply_branches``) and reads its weight off the new
+    trace.
     """
 
     def __init__(self, kraus: np.ndarray, site_mats: np.ndarray):
@@ -219,11 +224,11 @@ class _Densities:
         self.starts = site_mats
         self.kraus_t = np.ascontiguousarray(kraus.transpose(0, 2, 1))
         self.kraus_dag = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
-        # Re<M_j, rho> is the dot product of the interleaved (re, im) entries
-        self.effects = (self.kraus_dag @ kraus).view(float).reshape(v, 2 * h * h).T.copy()
+        # p_j = Re(vec(rho) . conj(vec(M_j))), complex (see the module text)
+        self.effects = np.ascontiguousarray((self.kraus_dag @ kraus).conj().reshape(v, h * h).T)
 
     def branches(self, states):
-        return states.view(float).reshape(len(states), -1) @ self.effects, None
+        return _rows_times(states.reshape(len(states), -1), self.effects).real, None
 
     def take(self, states, products, probs, chosen):
         _apply_branches(states, chosen, self.kraus_t, self.kraus_dag)

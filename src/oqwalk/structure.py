@@ -31,7 +31,6 @@ from .channel import (
     vec,
 )
 from .errors import (
-    NoConvergenceError,
     NotAnEnclosureError,
     NumericalDegeneracyError,
     SingularTransientSystemError,
@@ -127,7 +126,7 @@ class Block:
     """One canonical block of the recurrent space."""
 
     subspace: Subspace
-    minimal_enclosures: list
+    minimal_enclosures: tuple
     invariant_state: np.ndarray  # ambient, supported on one minimal enclosure
 
     @property
@@ -139,7 +138,7 @@ class Block:
 class SpaceDecomposition:
     recurrent: Subspace
     transient: Subspace
-    blocks: list
+    blocks: tuple
 
     @property
     def is_recurrent(self) -> bool:
@@ -201,25 +200,23 @@ def recurrent_space(model: WalkModel) -> Subspace:
     basis, so the union of supports equals the support of sum_m |x_m|
     (absolute values, since basis elements carry arbitrary sign).
 
-    Memoized per model: the dense eigensolve of the h^2 x h^2 superoperator
-    runs on the first call only, together with the orthogonal complement
-    (see ``transient_space``); later calls return the stored read-only
-    subspace.
+    Memoized per model (``WalkModel.cached``): the dense eigensolve of the
+    h^2 x h^2 superoperator runs on the first call only; later calls return
+    the stored read-only subspace.
     """
-    split = model._memo.get("recurrent")
-    if split is None:
-        rec = _recurrent_support(model)
-        split = (rec, orthonormal_complement(rec))
-        for sub in split:
-            sub.basis.flags.writeable = False
-        model._memo["recurrent"] = split
-    return split[0]
+    return model.cached("recurrent", lambda: _frozen(_recurrent_support(model)))
 
 
 def transient_space(model: WalkModel) -> Subspace:
-    """Orthogonal complement of the recurrent space, memoized with it."""
-    recurrent_space(model)
-    return model._memo["recurrent"][1]
+    """Orthogonal complement of the recurrent space, memoized like it."""
+    rec = recurrent_space(model)
+    return model.cached("transient", lambda: _frozen(orthonormal_complement(rec)))
+
+
+def _frozen(sub: Subspace) -> Subspace:
+    """``sub`` with a read-only basis, fit to be shared through the memo."""
+    sub.basis.flags.writeable = False
+    return sub
 
 
 def _recurrent_support(model: WalkModel) -> Subspace:
@@ -249,63 +246,64 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
     Random draws are controlled by ``seed``; the block subspaces are
     canonical, while the minimal enclosures inside a multiplicity block are
     one valid choice among infinitely many.
+
+    Memoized per (model, seed) through ``WalkModel.cached``: a repeated call
+    returns the same shared decomposition and runs no eigensolve. Its
+    containers are tuples and its arrays read-only.
     """
+    return model.cached(("decompose", seed), lambda: _decompose(model, seed))
+
+
+def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
     rec = recurrent_space(model)
     tra = transient_space(model)
-    view_r = ChannelView(model, rec)
-    m_r = to_matrix(view_r)
+    m_r = to_matrix(ChannelView(model, rec))
     # fixed points of the dual channel restricted to the recurrent space
     dual_basis = _fixed_space_hermitian_basis(m_r.conj().T, guard_ambiguity=True)
     if not dual_basis:
         raise NumericalDegeneracyError("empty dual fixed-point space on recurrent part")
 
     rng = np.random.default_rng(seed)
-    enclosures_r = None
     for _ in range(5):
         coeffs = rng.standard_normal(len(dual_basis))
         x = sum(c * b for c, b in zip(coeffs, dual_basis))
         w, v = np.linalg.eigh(x)
-        clusters = _cluster_eigenvalues(w)
-        candidates = [
-            Subspace(rec.dim, v[:, idx]) for idx in clusters
-        ]
-        perrons = _minimal_perron(model, rec, candidates)
-        if perrons is not None:
-            enclosures_r = candidates
+        # candidates in recurrent coordinates, and the same in the ambient space
+        local = [v[:, idx] for idx in _cluster_eigenvalues(w)]
+        candidates = [Subspace(model.local_dim, rec.basis @ b) for b in local]
+        if all(
+            enclosure_defect(model, sub) <= TOL_ENCLOSURE
+            and fixed_space_dim(model, sub) == 1
+            for sub in candidates
+        ):
             break
-    if enclosures_r is None:
+    else:
         raise NumericalDegeneracyError(
             "failed to split the recurrent space into minimal enclosures"
         )
 
-    groups = _group_by_connection(enclosures_r, dual_basis)
     blocks = []
-    for group in groups:
-        members = [enclosures_r[i] for i in group]
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
+    for group in _group_by_connection(local, dual_basis):
+        members = tuple(_frozen(candidates[i]) for i in group)
+        if len({m.dim for m in members}) != 1:
             raise NumericalDegeneracyError(
                 "minimal enclosures in one block have unequal dimensions"
             )
-        ambient_members = [
-            Subspace(model.local_dim, rec.basis @ m.basis) for m in members
-        ]
-        block_sub = Subspace(
-            model.local_dim, np.hstack([m.basis for m in ambient_members])
-        )
-        rep = ambient_members[0]
-        tau_local = perrons[group[0]].state
+        block_sub = Subspace(model.local_dim, np.hstack([m.basis for m in members]))
+        rep = members[0]
+        tau_local = perron(ChannelView(model, rep)).state
         tau = rep.basis @ tau_local @ rep.basis.conj().T
+        tau.flags.writeable = False
         blocks.append(
             Block(
-                subspace=block_sub,
-                minimal_enclosures=ambient_members,
+                subspace=_frozen(block_sub),
+                minimal_enclosures=members,
                 invariant_state=tau,
             )
         )
 
     blocks.sort(key=_block_sort_key)
-    return SpaceDecomposition(recurrent=rec, transient=tra, blocks=blocks)
+    return SpaceDecomposition(recurrent=rec, transient=tra, blocks=tuple(blocks))
 
 
 def _cluster_eigenvalues(w: np.ndarray) -> list:
@@ -319,29 +317,9 @@ def _cluster_eigenvalues(w: np.ndarray) -> list:
     return clusters
 
 
-def _minimal_perron(model, rec, candidates) -> list | None:
-    """Perron data of the channel compressed to each candidate if every
-    candidate is a minimal enclosure (one fixed point), else None.
-
-    One ``eig`` per candidate serves both: the fixed-space dimension is
-    counted in the spectrum that ``perron`` keeps.
-    """
-    perrons = []
-    for cand in candidates:
-        ambient = Subspace(model.local_dim, rec.basis @ cand.basis)
-        if enclosure_defect(model, ambient) > TOL_ENCLOSURE:
-            return None
-        try:
-            data = perron(ChannelView(model, ambient))
-        except NoConvergenceError:
-            return None
-        if _count_fixed(data.eigenvalues) != 1:
-            return None
-        perrons.append(data)
-    return perrons
-
-
 def _group_by_connection(enclosures, dual_basis) -> list:
+    """Indices of the enclosures (bases in recurrent coordinates) grouped
+    into blocks: two share a block when some dual fixed point links them."""
     n = len(enclosures)
     parent = list(range(n))
 
@@ -356,7 +334,7 @@ def _group_by_connection(enclosures, dual_basis) -> list:
 
     for a in range(n):
         for b in range(a + 1, n):
-            ba, bb = enclosures[a].basis, enclosures[b].basis
+            ba, bb = enclosures[a], enclosures[b]
             linked = any(
                 np.linalg.norm(ba.conj().T @ x @ bb) > 1e-8 for x in dual_basis
             )
@@ -402,20 +380,17 @@ def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     A solve that fails or does not verify raises
     SingularTransientSystemError.
 
-    Memoized per model, keyed by the exact bytes and shape of
-    ``enclosure.basis``: identical inputs return the identical (read-only)
-    operator.
+    Memoized per model (``WalkModel.cached``), keyed by the exact bytes and
+    shape of ``enclosure.basis``: identical inputs return the identical
+    (read-only) operator.
     """
     basis = enclosure.basis
-    key = ("absorption", basis.shape, basis.tobytes())
-    op = model._memo.get(key)
-    if op is None:
-        stored = basis.copy(order="K")
-        stored.flags.writeable = False
-        op = _absorption(model, Subspace(enclosure.ambient_dim, stored))
-        op.matrix.flags.writeable = False
-        model._memo[key] = op
-    return op
+
+    def build():
+        stored = Subspace(enclosure.ambient_dim, basis.copy(order="K"))
+        return _absorption(model, _frozen(stored))
+
+    return model.cached(("absorption", basis.shape, basis.tobytes()), build)
 
 
 def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
@@ -446,7 +421,9 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
         raise SingularTransientSystemError(
             f"absorption operator fails its defining properties by {defect:.3e}"
         )
-    return AbsorptionOperator(enclosure, hermitian_part(a))
+    a = hermitian_part(a)
+    a.flags.writeable = False
+    return AbsorptionOperator(enclosure, a)
 
 
 def _absorption_defect(view, enclosure, a) -> float:

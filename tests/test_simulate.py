@@ -607,6 +607,21 @@ class TestFactors:
             assert np.array_equal(factors.track(op, one), tracks[i : i + 1])
 
 
+class TestDensities:
+    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
+    def test_probabilities_do_not_depend_on_chunk_size(self, local_dim):
+        # each state's branch probabilities must be the bits it gets inside a
+        # long chunk, whatever the row count of its own chunk
+        rng = np.random.default_rng(90 + local_dim)
+        densities = simulate._Densities(random_walk_model(rng, local_dim).kraus, None)
+        states = np.array([random_density(rng, local_dim) for _ in range(300)])
+        probs = densities.branches(states)[0]
+        for width in (1, 2, 3, 5, 7):
+            for lo in range(0, 300 - width, 37):
+                window = states[lo : lo + width].copy()
+                assert np.array_equal(densities.branches(window)[0], probs[lo : lo + width])
+
+
 class TestMartingale:
     def test_exact_identity_on_random_states(self, four_state_module, edge_absorption):
         states = random_densities(20, 4, 20)

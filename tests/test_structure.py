@@ -1,10 +1,15 @@
+import importlib.util
+import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oqwalk import asymptotics, models, structure
+from oqwalk import asymptotics, channel, models, structure
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
 from oqwalk.errors import NotAnEnclosureError, SingularTransientSystemError
 from oqwalk.linalg import Subspace, orthonormal_complement
@@ -19,7 +24,21 @@ from oqwalk.structure import (
     transient_space,
     weights,
 )
-from util import basis_subspace, random_densities, subspace_angle
+from util import basis_subspace, random_densities, random_density, subspace_angle
+
+
+def _benchmark_generator():
+    """``perfbench/reducible.py``, the benchmark's generator of models whose
+    block structure is known by construction (read, never changed, here)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reducible.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reducible", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+reducible = _benchmark_generator()
 
 
 def tensor_multiplicity_model():
@@ -163,6 +182,51 @@ class TestDecompose:
                 assert fixed_space_dim(four_state, sub) == 1
 
 
+class TestGroundTruth:
+    """``decompose``, ``absorption`` and ``weights`` on generated models
+    (A (x) C^m) + B + T at h <= 8, whose blocks are known by construction."""
+
+    # (dim A, multiplicity m, dim B, dim T)
+    STRUCTURES = st.tuples(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 3)
+    ).filter(lambda s: s[0] * s[1] + s[2] + s[3] <= 8)
+
+    @given(STRUCTURES, st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_generated_structure_is_recovered(self, structure_dims, seed):
+        enclosure_dim, multiplicity, simple_dim, transient_dim = structure_dims
+        rm = reducible.reducible_model(
+            seed,
+            enclosure_dim=enclosure_dim,
+            multiplicity=multiplicity,
+            simple_dim=simple_dim,
+            transient_dim=transient_dim,
+        )
+        model, h = rm.model, rm.local_dim
+        dec = decompose(model, seed=0)
+        assert dec.transient.dim == transient_dim
+        assert len(dec.blocks) == 2
+        for truth, enc_dim, mult in (
+            (rm.multiple_block, enclosure_dim, multiplicity),
+            (rm.simple_block, simple_dim, 1),
+        ):
+            block = min(dec.blocks, key=lambda b: subspace_angle(b.subspace, truth))
+            assert subspace_angle(block.subspace, truth) < 1e-6
+            assert block.multiplicity == mult
+            assert all(sub.dim == enc_dim for sub in block.minimal_enclosures)
+
+        total = sum(absorption(model, b.subspace).matrix for b in dec.blocks)
+        assert np.max(np.abs(total - np.eye(h))) <= 1e-8
+
+        rho = DiagonalState.single_site(random_density(np.random.default_rng(seed), h))
+        block_weights, enclosure_weights = weights(model, dec, rho)
+        assert sum(block_weights) == pytest.approx(1.0, abs=1e-9)
+        for block, bw, row in zip(dec.blocks, block_weights, enclosure_weights):
+            assert len(row) == block.multiplicity
+            assert sum(row) == pytest.approx(bw, abs=1e-9)
+            assert all(-1e-9 <= w <= bw + 1e-9 for w in row)
+
+
 class TestAbsorption:
     def test_full_space_is_identity(self, four_state):
         a = absorption(four_state, Subspace.full(4))
@@ -254,7 +318,7 @@ class TestMemo:
         monkeypatch.undo()
 
         enclosures = [
-            sub for b in dec.blocks for sub in [b.subspace] + b.minimal_enclosures
+            sub for b in dec.blocks for sub in [b.subspace, *b.minimal_enclosures]
         ]
         fresh = WalkModel.load(self.FIXTURE)
         np.testing.assert_array_equal(
@@ -275,12 +339,69 @@ class TestMemo:
         assert transient_space(model) is transient_space(model)
         assert not rec.basis.flags.writeable
         assert not transient_space(model).basis.flags.writeable
-        sub = four_state_dec.blocks[0].subspace
+        # a caller's writeable subspace: the memo stores a read-only copy
+        sub = Subspace(4, four_state_dec.blocks[0].subspace.basis.copy())
         op = absorption(model, sub)
         assert absorption(model, Subspace(4, sub.basis.copy())) is op
         assert not op.matrix.flags.writeable
         assert not op.enclosure.basis.flags.writeable
         assert sub.basis.flags.writeable
+
+    def test_repeat_decompose_is_shared_and_solves_nothing(self, monkeypatch):
+        model = WalkModel.load(self.FIXTURE)
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(structure, "perron", counting(channel.perron))
+        dec = decompose(model, seed=0)
+        # three candidate enclosures, and one Perron pair per block
+        assert sum(b.multiplicity for b in dec.blocks) == 3
+        assert calls.count("perron") == len(dec.blocks) == 2
+
+        calls.clear()
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        assert decompose(model, seed=0) is dec
+        assert calls == []
+
+    def test_other_seed_gives_the_same_blocks(self):
+        model = WalkModel.load(self.FIXTURE)
+        a, b = decompose(model, seed=0), decompose(model, seed=1)
+        assert a is not b
+        assert len(a.blocks) == len(b.blocks)
+        for ba, bb in zip(a.blocks, b.blocks):
+            assert subspace_angle(ba.subspace, bb.subspace) <= 1e-8
+            assert ba.multiplicity == bb.multiplicity
+
+    def test_shared_decomposition_is_read_only(self):
+        dec = decompose(tensor_multiplicity_model(), seed=0)
+        assert isinstance(dec.blocks, tuple)
+        arrays = [dec.recurrent.basis, dec.transient.basis]
+        for block in dec.blocks:
+            assert isinstance(block.minimal_enclosures, tuple)
+            arrays += [block.subspace.basis, block.invariant_state]
+            arrays += [sub.basis for sub in block.minimal_enclosures]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_pickled_model_starts_with_an_empty_memo(self):
+        model = WalkModel.load(self.FIXTURE)
+        dec = decompose(model, seed=0)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy._memo == {}
+        again = decompose(copy, seed=0)
+        assert again is not dec
+        for ba, bb in zip(dec.blocks, again.blocks):
+            assert np.array_equal(ba.subspace.basis, bb.subspace.basis)
 
 
 class TestReachableSpace:

@@ -3,7 +3,8 @@ functions by name and skips a name that no longer resolves, so a rename would
 silently zero that layer's metrics; a benchmark call that no longer fits its
 signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
-fail here instead."""
+fail here instead. One more keeps the per-model memo behind its one
+accessor, ``WalkModel.cached``."""
 
 import ast
 import importlib
@@ -115,3 +116,24 @@ def test_benchmark_calls_bind(where, callee, positional, keywords):
 def test_script_calls_bind(where, callee, positional, keywords):
     """The same check for the experiment scripts, which no test runs."""
     _bind(callee, positional, keywords)
+
+
+def test_memo_is_touched_only_by_its_accessor():
+    """Every per-model cache goes through ``WalkModel.cached``, which owns
+    the cache policy; no other code in the package reads or writes ``_memo``."""
+    stray = []
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "WalkModel":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "cached":
+                        allowed |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            touches = (isinstance(node, ast.Attribute) and node.attr == "_memo") or (
+                isinstance(node, ast.Constant) and node.value == "_memo"
+            )
+            if touches and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
