@@ -15,13 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .asymptotics import MixtureModel
 from .errors import EmptyEnsembleError, MissingAxisError
 from .simulate import TrajectoryEnsemble
 
 DIRAC_SIGMA = 1e-12
+
+
+def _normal_pdf(z):
+    """The standard normal density, bit for bit as ``scipy.stats.norm.pdf``
+    (whose ``x**2`` on arrays is ``np.square``)."""
+    return np.exp(-np.square(z) / 2.0) / np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ def _cdf(comps, x):
     total = np.zeros_like(x, dtype=float)
     for w, mu, sigma in comps:
         if sigma > DIRAC_SIGMA:
-            total = total + w * norm.cdf((x - mu) / sigma)
+            total = total + w * ndtr((x - mu) / sigma)
         else:
             total = total + w * (x >= mu)
     return total
@@ -103,7 +109,7 @@ def _cdf_antiderivative(comps, x):
     for w, mu, sigma in comps:
         if sigma > DIRAC_SIGMA:
             z = (x - mu) / sigma
-            acc = acc + w * sigma * (z * norm.cdf(z) + norm.pdf(z))
+            acc = acc + w * sigma * (z * ndtr(z) + _normal_pdf(z))
         else:
             acc = acc + w * np.maximum(x - mu, 0.0)
     return acc
@@ -115,7 +121,7 @@ def _upper_tail(comps, x: float) -> float:
     for w, mu, sigma in comps:
         if sigma > DIRAC_SIGMA:
             z = (x - mu) / sigma
-            acc += w * sigma * (norm.pdf(z) - z * (1.0 - norm.cdf(z)))
+            acc += w * sigma * (_normal_pdf(z) - z * (1.0 - ndtr(z)))
         else:
             acc += w * max(mu - x, 0.0)
     return acc

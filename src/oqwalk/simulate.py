@@ -104,8 +104,6 @@ from .channel import WalkModel
 from .errors import (
     DegenerateStepError,
     MissingTrackError,
-    NegativeEigenvalueError,
-    NotHermitianError,
     NumericalDegeneracyError,
 )
 from .linalg import support_eigenpairs
@@ -305,12 +303,7 @@ def _site_factors(site_mats: np.ndarray, num_kraus: int) -> np.ndarray | None:
     F F* misses its site matrix by more than FACTOR_TOL in an entry, so that
     dropped eigenvalues cannot move a branch pick."""
     h = site_mats.shape[1]
-    try:
-        pairs = [support_eigenpairs(m) for m in site_mats]
-    except (NotHermitianError, NegativeEigenvalueError):
-        # a site of small trace passes the state's absolute checks but can
-        # fail them once normalized; the density form steps it as given
-        return None
+    pairs = [support_eigenpairs(m) for m in site_mats]
     r = max(len(w) for w, _ in pairs)
     if not _factors_pay(num_kraus, r, h):
         return None
@@ -460,12 +453,7 @@ def run(
     cuts = {n: np.empty((n_traj, d), dtype=int) for n in set(config.horizons) - {n_steps}}
     marks = {int(s): (i, cuts.get(int(s))) for i, s in enumerate(snap)}
 
-    sites = sorted(rho.entries.keys())
-    traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
-    # a site of trace 0 is never drawn; it keeps its (zero) matrix
-    site_mats = np.array(
-        [rho.entries[s] / (t if t > 0 else 1.0) for s, t in zip(sites, traces)]
-    )
+    sites, traces, site_mats = rho.normalized_sites()  # trace-0 sites are never drawn
     site_pos = np.array(sites, dtype=int).reshape(len(sites), d)
     site_cdf = np.cumsum(traces)
     site_cdf /= site_cdf[-1]

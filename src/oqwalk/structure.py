@@ -5,11 +5,12 @@ blocks of the recurrent space with one decomposition into minimal enclosures,
 absorption operators, reachable enclosures, and the induced mixture weights
 of an initial diagonal state.
 
-The block decomposition follows the fixed-point-algebra route: a generic
-Hermitian element of the dual fixed-point space on the recurrent subspace is
-block-diagonal with one (random) eigenvalue per minimal enclosure copy, so
-its eigenspaces are minimal enclosures; two of them share a block exactly
-when some fixed-point element has a nonzero off-diagonal part between them.
+The block decomposition follows the fixed-point-algebra route (Carbone and
+Pautrat 2016): on the recurrent subspace a generic Hermitian x in the dual
+fixed-point algebra (+) M_m (x) I has one eigenspace per minimal enclosure
+copy. Compressed into x's eigenbasis, the algebra has scalar diagonal blocks
+exactly on minimal enclosures, and a nonzero block exactly between two copies
+in one block.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .channel import (
     vec,
 )
 from .errors import (
+    NegativeEigenvalueError,
     NotAnEnclosureError,
+    NotHermitianError,
     NumericalDegeneracyError,
     SingularTransientSystemError,
 )
@@ -40,12 +43,14 @@ from .linalg import (
     hermitian_part,
     orthonormal_complement,
     subspace_intersection,
+    support_eigenpairs,
     support_projection,
 )
 
 TOL_ENCLOSURE = 1e-9
 TOL_FIXED = 1e-9
 AMBIGUITY_BAND = 1e-7
+TOL_LINK = 1e-8  # Frobenius norm up to which a compressed dual fixed point is 0
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,12 @@ class DiagonalState:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"total trace {total} != 1")
         object.__setattr__(self, "entries", entries)
+        # a small-trace site can pass the absolute checks, not once normalized
+        for site, trace, mat in zip(*self.normalized_sites()):
+            try:
+                support_eigenpairs(mat)
+            except (NotHermitianError, NegativeEigenvalueError) as exc:
+                raise ValueError(f"site {site} over its trace {trace:.3e}: {exc}") from exc
 
     @property
     def local_dim(self) -> int:
@@ -84,6 +95,13 @@ class DiagonalState:
     @property
     def lattice_dim(self) -> int:
         return len(next(iter(self.entries.keys())))
+
+    def normalized_sites(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Sorted sites, their traces, and each matrix over its trace (if not 0)."""
+        sites = sorted(self.entries)
+        traces = np.array([float(np.trace(self.entries[s]).real) for s in sites])
+        scale = np.where(traces > 0, traces, 1.0)
+        return sites, traces, np.array([self.entries[s] / t for s, t in zip(sites, scale)])
 
     def site_average(self) -> np.ndarray:
         """Sum of the site matrices (a unit-trace state)."""
@@ -232,7 +250,8 @@ def _recurrent_support(model: WalkModel) -> Subspace:
 
 def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
     """Dimension of the fixed space of the channel compressed to a subspace:
-    its eigenvalues within TOL_FIXED of 1, counted with multiplicity."""
+    its eigenvalues within TOL_FIXED of 1, counted with multiplicity. Only the
+    benchmark's model generator and the tests call it."""
     return _count_fixed(np.linalg.eigvals(to_matrix(ChannelView(model, subspace))))
 
 
@@ -246,6 +265,10 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
     Random draws are controlled by ``seed``; the block subspaces are
     canonical, while the minimal enclosures inside a multiplicity block are
     one valid choice among infinitely many.
+
+    A draw is accepted when every candidate is an enclosure with scalar dual
+    fixed points (five draws, then NumericalDegeneracyError). A candidate joins
+    the first block whose first member a dual fixed point links it to.
 
     Memoized per (model, seed) through ``WalkModel.cached``: a repeated call
     returns the same shared decomposition and runs no eigensolve. Its
@@ -268,13 +291,14 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
         coeffs = rng.standard_normal(len(dual_basis))
         x = sum(c * b for c, b in zip(coeffs, dual_basis))
         w, v = np.linalg.eigh(x)
-        # candidates in recurrent coordinates, and the same in the ambient space
-        local = [v[:, idx] for idx in _cluster_eigenvalues(w)]
-        candidates = [Subspace(model.local_dim, rec.basis @ b) for b in local]
+        clusters = _cluster_eigenvalues(w)
+        # dual fixed points in x's eigenbasis; block (a, b) maps candidate b to a
+        comp = v.conj().T @ np.array(dual_basis) @ v
+        candidates = [Subspace(model.local_dim, rec.basis @ v[:, idx]) for idx in clusters]
         if all(
             enclosure_defect(model, sub) <= TOL_ENCLOSURE
-            and fixed_space_dim(model, sub) == 1
-            for sub in candidates
+            and _is_scalar(comp[:, idx][:, :, idx])
+            for sub, idx in zip(candidates, clusters)
         ):
             break
     else:
@@ -282,8 +306,20 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
             "failed to split the recurrent space into minimal enclosures"
         )
 
+    # in (+) M_m (x) I every two copies of one block are linked directly, so
+    # comparing with each group's first member finds the whole block
+    groups = []
+    for i, idx in enumerate(clusters):
+        for group in groups:
+            link = comp[:, clusters[group[0]]][:, :, idx]
+            if np.any(np.linalg.norm(link, axis=(1, 2)) > TOL_LINK):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+
     blocks = []
-    for group in _group_by_connection(local, dual_basis):
+    for group in groups:
         members = tuple(_frozen(candidates[i]) for i in group)
         if len({m.dim for m in members}) != 1:
             raise NumericalDegeneracyError(
@@ -294,57 +330,23 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
         tau_local = perron(ChannelView(model, rep)).state
         tau = rep.basis @ tau_local @ rep.basis.conj().T
         tau.flags.writeable = False
-        blocks.append(
-            Block(
-                subspace=_frozen(block_sub),
-                minimal_enclosures=members,
-                invariant_state=tau,
-            )
-        )
+        blocks.append(Block(_frozen(block_sub), members, tau))
 
     blocks.sort(key=_block_sort_key)
     return SpaceDecomposition(recurrent=rec, transient=tra, blocks=tuple(blocks))
 
 
 def _cluster_eigenvalues(w: np.ndarray) -> list:
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    clusters = [[0]]
-    for j in range(1, len(w)):
-        if w[j] - w[clusters[-1][-1]] <= 1e-8 * scale:
-            clusters[-1].append(j)
-        else:
-            clusters.append([j])
-    return clusters
+    """Index runs of the ascending ``w``, cut at gaps over 1e-8 of max(|w|, 1)."""
+    scale = max(1.0, float(np.max(np.abs(w))))
+    return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > 1e-8 * scale) + 1)
 
 
-def _group_by_connection(enclosures, dual_basis) -> list:
-    """Indices of the enclosures (bases in recurrent coordinates) grouped
-    into blocks: two share a block when some dual fixed point links them."""
-    n = len(enclosures)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            ba, bb = enclosures[a], enclosures[b]
-            linked = any(
-                np.linalg.norm(ba.conj().T @ x @ bb) > 1e-8 for x in dual_basis
-            )
-            if linked:
-                union(a, b)
-
-    groups = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
+def _is_scalar(stack: np.ndarray) -> bool:
+    """Whether each (n, n) matrix of ``stack`` is within TOL_LINK of a scalar."""
+    n = stack.shape[-1]
+    off = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    return bool(np.all(np.linalg.norm(off, axis=(1, 2)) <= TOL_LINK))
 
 
 def _block_sort_key(block: Block):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqwalk import asymptotics, cli, simulate, structure
+from oqwalk import asymptotics, channel, cli, simulate, structure
 from oqwalk.cli import InputError, main
 from oqwalk.structure import DiagonalState
 from util import random_irreducible_model
@@ -616,6 +616,21 @@ class TestInputErrors:
         base = ["--model", fixture("two_state.json"), "--state", fixture("state_four_transient.json")]
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
         assert "the model needs 2x2" in err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_that_is_no_density_once_normalized(self, tmp_path, capsys, command):
+        # the site at 1 deviates from Hermitian by 5e-11 absolutely, by 7e-8
+        # once divided by its trace 1e-3
+        small = np.diag([1e-3, 0.0]).astype(complex)
+        small[0, 1] = 5e-11
+        entries = [([0], np.diag([0.999, 0.0]).astype(complex)), ([1], small)]
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"entries": [
+            {"site": site, "matrix": channel.matrix_to_json(mat)} for site, mat in entries
+        ]}))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+        assert "input error" in err and "site (1,) over its trace" in err
 
     def test_one_prediction_per_ensemble(self, tmp_path, capsys):
         err = self.run(

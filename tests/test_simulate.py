@@ -66,10 +66,6 @@ def full_and_low_rank(dims):
     ]
 
 
-def normalized_sites(rho):
-    return np.array([m / np.trace(m).real for m in rho.entries.values()])
-
-
 def assert_same_ensemble(a, b):
     """Every field of two ensembles is equal, arrays bit for bit."""
     for f in dataclasses.fields(a):
@@ -355,7 +351,7 @@ class TestRun:
         ensembles = []
         for pays in (True, False):
             monkeypatch.setattr(simulate, "_factors_pay", lambda v, r, h, pays=pays: pays)
-            factors = simulate._site_factors(normalized_sites(rho), model.kraus.shape[0])
+            factors = simulate._site_factors(rho.normalized_sites()[2], model.kraus.shape[0])
             assert (factors is not None) == pays
             if pays:
                 assert factors.shape == (len(ranks), max(ranks), local_dim)
@@ -371,7 +367,7 @@ class TestRun:
         # start do on the four-level walk (v = 2, h = 4), the rank-3 balanced
         # start and a full-rank h = 16 start do not
         v = four_state_module.kraus.shape[0]
-        assert simulate._site_factors(normalized_sites(transient_rho), v).shape == (1, 1, 4)
+        assert simulate._site_factors(transient_rho.normalized_sites()[2], v).shape == (1, 1, 4)
         rank_two = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
         assert simulate._site_factors(rank_two[None], v).shape == (1, 2, 4)
         balanced = np.diag([0.0, 1 / 3, 1 / 3, 1 / 3]).astype(complex)
@@ -393,16 +389,14 @@ class TestRun:
         run(four_state_module, rho, SimConfig(steps=3, trajectories=4, seed=0))
         assert len(built) == 1
 
-    def test_site_failing_the_support_rule_once_normalized(self, two_state):
-        # the small site passes the state's absolute Hermiticity check, but
-        # divided by its trace 1e-3 it deviates by 7e-8 > TOL_RANK: the run
-        # steps densities, as it would without factors
+    def test_site_failing_the_support_rule_once_normalized(self):
+        # the small site passes the absolute Hermiticity check, but divided by
+        # its trace 1e-3, as the run steps it, it deviates by 7e-8 > TOL_RANK:
+        # the state is refused before any run
         small = np.diag([1e-3, 0.0]).astype(complex)
         small[0, 1] = 5e-11
-        rho = DiagonalState({(0,): np.diag([0.999, 0.0]), (1,): small})
-        assert simulate._site_factors(normalized_sites(rho), 2) is None
-        ens = run(two_state, rho, SimConfig(steps=3, trajectories=20, seed=0))
-        assert set(ens.initial_positions[:, 0]) <= {0, 1}
+        with pytest.raises(ValueError, match=r"site \(1,\) over its trace"):
+            DiagonalState({(0,): np.diag([0.999, 0.0]), (1,): small})
 
     def test_horizons_outside_the_run_rejected(self, four_state_module, transient_rho):
         for horizons in [(-1,), (3, 11)]:

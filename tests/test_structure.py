@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 
 from oqwalk import asymptotics, channel, models, structure
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
-from oqwalk.errors import NotAnEnclosureError, SingularTransientSystemError
+from oqwalk.errors import (
+    NotAnEnclosureError,
+    NumericalDegeneracyError,
+    SingularTransientSystemError,
+)
 from oqwalk.linalg import Subspace, orthonormal_complement
+from oqwalk.simulate import martingale_check
 from oqwalk.structure import (
     DiagonalState,
     absorption,
@@ -181,6 +186,41 @@ class TestDecompose:
             for sub in block.minimal_enclosures:
                 assert fixed_space_dim(four_state, sub) == 1
 
+    def test_candidates_are_checked_without_eigensolves(self, monkeypatch):
+        # minimality is read off the compressed dual fixed points, so no
+        # candidate's superoperator gets an eigvals
+        model = WalkModel.load(TestMemo.FIXTURE)
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda *args, **kw: calls.append(1) or eigvals(*args, **kw)
+        )
+        dec = decompose(model, seed=0)
+        assert sum(b.multiplicity for b in dec.blocks) == 3
+        assert calls == []
+
+    def test_merged_candidates_fail_the_scalar_rule(self, monkeypatch):
+        # merging two eigenvalue clusters gives a sum of two minimal
+        # enclosures: an enclosure, but one on which the dual fixed points
+        # are not scalar, so every draw is refused
+        model = WalkModel.load(TestMemo.FIXTURE)
+        split, sizes, defects = structure._cluster_eigenvalues, [], []
+
+        def merging(w):
+            first, second, *rest = split(w)
+            sizes.append(len(first) + len(second))
+            return [np.concatenate([first, second]), *rest]
+
+        def recording(m, sub):
+            defects.append(enclosure_defect(m, sub))
+            return defects[-1]
+
+        monkeypatch.setattr(structure, "_cluster_eigenvalues", merging)
+        monkeypatch.setattr(structure, "enclosure_defect", recording)
+        with pytest.raises(NumericalDegeneracyError, match="minimal enclosures"):
+            decompose(model, seed=0)
+        assert len(sizes) == 5 and min(sizes) >= 2
+        assert max(defects) <= structure.TOL_ENCLOSURE
+
 
 class TestGroundTruth:
     """``decompose``, ``absorption`` and ``weights`` on generated models
@@ -225,6 +265,12 @@ class TestGroundTruth:
             assert len(row) == block.multiplicity
             assert sum(row) == pytest.approx(bw, abs=1e-9)
             assert all(-1e-9 <= w <= bw + 1e-9 for w in row)
+
+        # each absorption operator is harmonic: Tr(A rho) is a martingale
+        states = random_densities(seed + 1, h, 3)
+        for block in dec.blocks:
+            for sub in (block.subspace, *block.minimal_enclosures):
+                assert martingale_check(model, absorption(model, sub).matrix, states) <= 1e-9
 
 
 class TestAbsorption:
@@ -476,6 +522,12 @@ class TestDiagonalState:
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             DiagonalState.single_site(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_zero_trace_site_allowed(self):
+        rho = DiagonalState({(0,): np.diag([1.0, 0.0]), (1,): np.zeros((2, 2))})
+        sites, traces, mats = rho.normalized_sites()
+        assert sites == [(0,), (1,)] and list(traces) == [1.0, 0.0]
+        assert not np.any(mats[1])
 
     def test_roundtrip(self, tmp_path):
         mats = random_densities(6, 3, 2)

@@ -4,12 +4,16 @@ silently zero that layer's metrics; a benchmark call that no longer fits its
 signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. One more keeps the per-model memo behind its one
-accessor, ``WalkModel.cached``."""
+accessor, ``WalkModel.cached``, and one keeps ``scipy.stats``, which about
+doubles the import time, out of the package's imports."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,14 @@ def test_memo_is_touched_only_by_its_accessor():
             if touches and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def test_package_does_not_load_scipy_stats():
+    """A fresh interpreter that imports the package and its CLI has not loaded
+    ``scipy.stats``."""
+    code = "import sys, oqwalk, oqwalk.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
