@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelView, PerronData, WalkModel, perron, to_matrix, unvec, vec
+from .channel import ChannelView, PerronData, WalkModel, perron, unvec, vec
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -112,7 +112,7 @@ def drift(model: WalkModel, tau: np.ndarray) -> np.ndarray:
 
 
 class _PerronCalculus:
-    """u-derivatives of the Perron root lam of T_u = to_matrix(view) at view.u.
+    """u-derivatives of the Perron root lam of T_u = view.matrix at view.u.
 
     With the Perron pair T_u tau = lam tau, w* T_u = lam w*, the pairing
     p = <w, tau>, and T_j, T_jk the s_j- and s_j s_k-weighted superoperators:
@@ -147,7 +147,7 @@ class _PerronCalculus:
         """The vectorized tau_k as columns, from one bordered solve; raises
         SingularMatrixError when the dominant eigenvalue is degenerate."""
         tau, w = self.tau, self.w
-        bord = self.lam * np.eye(tau.size) - to_matrix(self.view)
+        bord = self.lam * np.eye(tau.size) - self.view.matrix
         bord += np.outer(tau, w.conj()) / self.pairing
         return solve_linear(bord, self.terms_tau.T @ self.ws - np.outer(tau, self.lam_j))
 
@@ -254,7 +254,7 @@ def log_lambda(model: WalkModel, subspace: Subspace, u) -> float:
     """Log spectral radius of the deformed channel compressed to a subspace."""
     if subspace.dim == 0:
         return float("-inf")
-    m = to_matrix(ChannelView(model, subspace, u))
+    m = ChannelView(model, subspace, u).matrix
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     return float(np.log(radius))
 

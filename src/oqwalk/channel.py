@@ -9,7 +9,9 @@ u in R^d reweights the i-th term by exp(u . s_i).
 Superoperator matrices use column-major vectorization throughout:
 vec(A X B) = (B^T kron A) vec(X), so the channel matrix is
 sum_i w_i kron(conj(L_i), L_i) and the dual channel matrix is its conjugate
-transpose.
+transpose. A view builds its superoperator once (``ChannelView.matrix``), and
+every Perron step, bordered solve and fixed-point analysis of that view reads
+the same matrix.
 """
 
 from __future__ import annotations
@@ -196,6 +198,14 @@ class ChannelView:
         """exp(u . s_i) per Kraus term."""
         return np.exp(self.model.shifts @ self.u)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The superoperator ``to_matrix(self)``, built on first use and
+        shared by every later reader, so it is read-only."""
+        m = to_matrix(self)
+        m.flags.writeable = False
+        return m
+
 
 def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
     """Deformed compressed channel: sum_i e^{u.s_i} K_i sigma K_i*."""
@@ -222,11 +232,19 @@ def apply_dual(view: ChannelView, x: np.ndarray) -> np.ndarray:
 
 
 def to_matrix(view: ChannelView) -> np.ndarray:
-    """Superoperator matrix in the column-major vectorization convention."""
-    k = view.dim
+    """Superoperator matrix in the column-major vectorization convention.
+
+    All kron(conj(K_i), K_i) come from one broadcast product, entry for entry
+    the product np.kron forms; the weighted terms are then added from zeros
+    in Kraus order. Callers read ``view.matrix``, which builds it once.
+    """
+    k, kr = view.dim, view.compressed_kraus
+    terms = (kr.conj()[:, :, None, :, None] * kr[:, None, :, None, :]).reshape(
+        len(kr), k * k, k * k
+    )
     m = np.zeros((k * k, k * k), dtype=complex)
-    for w, kr in zip(view.weights, view.compressed_kraus):
-        m += w * np.kron(kr.conj(), kr)
+    for w, term in zip(view.weights, terms):
+        m += w * term
     return m
 
 
@@ -266,7 +284,7 @@ def perron(view: ChannelView) -> PerronData:
     """
     if view.dim == 0:
         raise NoConvergenceError("empty compression domain")
-    m = to_matrix(view)
+    m = view.matrix
     try:
         vals, left, right = scipy.linalg.eig(m, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN

@@ -62,6 +62,16 @@ def _parse_grid(text: str) -> np.ndarray:
         return lo + step * np.arange(count)
 
 
+def _parse_interval(text: str) -> tuple[float, float]:
+    """The ``lo,hi`` window of ``ldp --interval``; one that does not parse,
+    is not finite or has hi < lo is an InputError."""
+    with _parsing(f"--interval {text!r}"):
+        lo, hi = (float(tok) for tok in text.split(","))
+    if not (np.isfinite([lo, hi]).all() and lo <= hi):
+        raise InputError(f"--interval: need finite lo <= hi, got {text!r}")
+    return lo, hi
+
+
 def _seed(text: str) -> int:
     """argparse type of ``--seed``: the random generators take seeds >= 0."""
     if int(text) < 0:
@@ -353,10 +363,11 @@ def cmd_ldp(args) -> int:
     rho = _load_state(args.state, model)
     d = model.lattice_dim
     axis = _parse_axis(args.axis, d)
-    decay = args.ensemble and args.interval
+    decay = args.ensemble is not None
+    if decay != (args.interval is not None):
+        raise InputError("--ensemble and --interval go together: give both or neither")
     if decay:
-        with _parsing(f"--interval {args.interval!r}"):
-            lo, hi = (float(tok) for tok in args.interval.split(","))
+        lo, hi = _parse_interval(args.interval)
         samples = [_read_ensemble(path) for path in args.ensemble.split(",")]
         if any(n < 1 or disp.shape[1] != d for n, disp in samples):
             raise InputError(f"--ensemble: need {d}-dimensional ensembles of n >= 1 steps")

@@ -27,7 +27,6 @@ from .channel import (
     matrix_from_json,
     matrix_to_json,
     perron,
-    to_matrix,
     unvec,
     vec,
 )
@@ -66,6 +65,8 @@ class DiagonalState:
         for site, mat in self.entries.items():
             site = tuple(int(c) for c in np.atleast_1d(site))
             mat = np.asarray(mat, dtype=complex)
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"site {site}: entries must be finite")
             if dim is None:
                 dim = mat.shape[0]
             if mat.shape != (dim, dim):
@@ -208,7 +209,7 @@ def invariant_operators(view: ChannelView) -> list:
     """Hermitian basis of the fixed-point space {sigma : channel(sigma) = sigma}."""
     if np.any(view.u):
         raise ValueError("fixed-point analysis requires the undeformed channel")
-    return _fixed_space_hermitian_basis(to_matrix(view))
+    return _fixed_space_hermitian_basis(view.matrix)
 
 
 def recurrent_space(model: WalkModel) -> Subspace:
@@ -252,7 +253,7 @@ def fixed_space_dim(model: WalkModel, subspace: Subspace) -> int:
     """Dimension of the fixed space of the channel compressed to a subspace:
     its eigenvalues within TOL_FIXED of 1, counted with multiplicity. Only the
     benchmark's model generator and the tests call it."""
-    return _count_fixed(np.linalg.eigvals(to_matrix(ChannelView(model, subspace))))
+    return _count_fixed(np.linalg.eigvals(ChannelView(model, subspace).matrix))
 
 
 def _count_fixed(eigenvalues: np.ndarray) -> int:
@@ -280,7 +281,7 @@ def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
 def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
     rec = recurrent_space(model)
     tra = transient_space(model)
-    m_r = to_matrix(ChannelView(model, rec))
+    m_r = ChannelView(model, rec).matrix
     # fixed points of the dual channel restricted to the recurrent space
     dual_basis = _fixed_space_hermitian_basis(m_r.conj().T, guard_ambiguity=True)
     if not dual_basis:
@@ -409,7 +410,7 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
 
     a = p
     if w_space.dim:
-        dual_w = to_matrix(ChannelView(model, w_space)).conj().T
+        dual_w = ChannelView(model, w_space).matrix.conj().T
         c = w_space.basis
         rhs = vec(c.conj().T @ apply_dual(full, p) @ c)
         try:

@@ -20,7 +20,8 @@ from oqwalk.channel import (
     vec,
 )
 from oqwalk.errors import DimensionMismatchError, NotTracePreservingError
-from util import basis_subspace, random_densities
+from oqwalk.linalg import Subspace
+from util import basis_subspace, random_densities, random_walk_model
 
 
 class TestValidate:
@@ -184,6 +185,31 @@ class TestToMatrix:
             for s, l in zip(two_state.shifts, two_state.kraus)
         )
         np.testing.assert_allclose(m, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("lattice_dim", [1, 2])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bitwise_equal_to_kron_sum(self, k, lattice_dim, deformed):
+        # the broadcast product and the in-order sum from zeros round exactly
+        # as sum_i e^{u.s_i} kron(conj K_i, K_i) does, signed zeros included
+        rng = np.random.default_rng(100 * k + 10 * lattice_dim + deformed)
+        model = random_walk_model(rng, 8, lattice_dim)
+        g = rng.standard_normal((8, k)) + 1j * rng.standard_normal((8, k))
+        sub = Subspace(8, np.linalg.qr(g)[0])
+        u = rng.standard_normal(lattice_dim) if deformed else None
+        view = ChannelView(model, sub, u)
+        expected = np.zeros((k * k, k * k), dtype=complex)
+        for w, kr in zip(view.weights, view.compressed_kraus):
+            expected += w * np.kron(kr.conj(), kr)
+        m = to_matrix(view)
+        assert np.array_equal(m, expected)
+        assert m.tobytes() == expected.tobytes()
+
+    def test_view_builds_its_matrix_once(self, four_state):
+        view = ChannelView.full(four_state, u=[0.3])
+        assert view.matrix is view.matrix
+        assert not view.matrix.flags.writeable
+        assert np.array_equal(view.matrix, to_matrix(view))
 
 
 class TestPerron:

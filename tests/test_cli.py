@@ -598,6 +598,22 @@ class TestInputErrors:
         )
         assert "input error: --interval" in err
 
+    @pytest.mark.parametrize("interval", ["nan,0.5", "0.5,0.1", "inf,inf"])
+    def test_interval_that_is_not_finite_or_increasing(self, tmp_path, capsys, interval):
+        err = self.run(
+            tmp_path, capsys, "ldp", "--grid=0:0.2:0.1",
+            "--ensemble", str(tmp_path / "ensemble_n10.csv"), "--interval", interval,
+        )
+        assert "input error: --interval: need finite lo <= hi" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["--ensemble", "missing/ensemble_n10.csv"], ["--interval", "0.1,0.2"]]
+    )
+    def test_ldp_decay_flag_alone(self, tmp_path, capsys, argv):
+        # either flag alone used to be dropped without a word
+        err = self.run(tmp_path, capsys, "ldp", "--grid=0:0.2:0.1", *argv)
+        assert "input error: --ensemble and --interval go together" in err
+
     def test_non_integer_horizon(self, tmp_path, capsys):
         assert "input error: --steps" in self.run(tmp_path, capsys, "clt", "--steps", "10,x")
 
@@ -631,6 +647,18 @@ class TestInputErrors:
         base = ["--model", fixture("two_state.json"), "--state", str(state)]
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
         assert "input error" in err and "site (1,) over its trace" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_with_entries_that_are_not_finite(self, tmp_path, capsys, command, bad):
+        # json writes and reads these as NaN and Infinity
+        data = json.loads(Path(fixture("state_two_recurrent.json")).read_text())
+        data["entries"][0]["matrix"][0][0][0] = bad
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(data))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+        assert "input error" in err and "entries must be finite" in err
 
     def test_one_prediction_per_ensemble(self, tmp_path, capsys):
         err = self.run(

@@ -523,6 +523,15 @@ class TestDiagonalState:
         with pytest.raises(ValueError):
             DiagonalState.single_site(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_entries_must_be_finite(self, bad):
+        # refused before any eigensolve, and without a RuntimeWarning
+        mat = np.diag([0.5, 0.0]).astype(complex)
+        mat[1, 1] = bad
+        entries = {(0,): np.diag([0.5, 0.0]), (1,): mat}
+        with pytest.raises(ValueError, match=r"site \(1,\): entries must be finite"):
+            DiagonalState(entries)
+
     def test_zero_trace_site_allowed(self):
         rho = DiagonalState({(0,): np.diag([1.0, 0.0]), (1,): np.zeros((2, 2))})
         sites, traces, mats = rho.normalized_sites()

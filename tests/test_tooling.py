@@ -4,8 +4,10 @@ silently zero that layer's metrics; a benchmark call that no longer fits its
 signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. One more keeps the per-model memo behind its one
-accessor, ``WalkModel.cached``, and one keeps ``scipy.stats``, which about
-doubles the import time, out of the package's imports."""
+accessor, ``WalkModel.cached``, two keep the superoperator of a channel view
+behind its one builder, ``ChannelView.matrix``, and one keeps
+``scipy.stats``, which about doubles the import time, out of the package's
+imports."""
 
 import ast
 import importlib
@@ -141,6 +143,57 @@ def test_memo_is_touched_only_by_its_accessor():
             if touches and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def test_superoperator_is_built_only_by_its_view():
+    """Within the package only ``ChannelView.matrix`` calls ``to_matrix``, so
+    every reader of a view shares the one matrix it builds."""
+    stray = []
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "ChannelView":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "matrix":
+                        allowed |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "to_matrix":
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_one_superoperator_per_perron_calculus(monkeypatch):
+    """One ``diffusion`` and one ``_log_lambda_derivatives`` each build one
+    superoperator, for the Perron pair and the bordered solve alike. The
+    count wraps ``to_matrix`` wherever a package module binds it, as the
+    benchmark's tracer does."""
+    import oqwalk
+    from oqwalk import asymptotics, channel, models
+    from oqwalk.linalg import Subspace
+
+    calls = []
+    real = channel.to_matrix
+
+    def counted(view):
+        calls.append(view.dim)
+        return real(view)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oqwalk") and getattr(module, "to_matrix", None) is real:
+            monkeypatch.setattr(module, "to_matrix", counted)
+    assert oqwalk.to_matrix is counted
+
+    model = models.irreducible_two_state()
+    asymptotics.diffusion(model, Subspace.full(2))
+    assert calls == [2]
+    calls.clear()
+    asymptotics._log_lambda_derivatives(model, Subspace.full(2), [0.3])
+    assert calls == [2]
 
 
 def test_package_does_not_load_scipy_stats():
