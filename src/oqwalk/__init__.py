@@ -1,102 +1,9 @@
-"""Open quantum random walks: channel structure, asymptotics, simulation."""
+"""Open quantum random walks: channel structure, asymptotics, simulation.
 
-from .asymptotics import (
-    GaussianComponent,
-    MixtureModel,
-    RateEvaluation,
-    clt_mixture,
-    diffusion,
-    drift,
-    lambda_derivatives,
-    lambda_split_check,
-    legendre,
-    log_lambda,
-    poisson_solve,
-    rate_function,
-)
-from .channel import ChannelView, PerronData, WalkModel, apply, apply_dual, perron, to_matrix, validate
-from .empirics import (
-    DistanceReport,
-    EmpiricalLaw1D,
-    histogram,
-    ldp_estimate,
-    mixture_cdf,
-    rescale,
-    w1_distance,
-)
-from .linalg import (
-    Subspace,
-    orthonormal_complement,
-    solve_linear,
-    support_projection,
-)
-from .simulate import (
-    SimConfig,
-    TrajectoryEnsemble,
-    classify_absorption,
-    martingale_check,
-    run,
-)
-from .structure import (
-    AbsorptionOperator,
-    Block,
-    DiagonalState,
-    SpaceDecomposition,
-    absorption,
-    decompose,
-    invariant_operators,
-    reachable_space,
-    recurrent_space,
-    weights,
-)
+The package exports its modules; import names from them, for example
+``from oqwalk import structure`` and ``structure.decompose(model)``.
+"""
 
-__all__ = [
-    "AbsorptionOperator",
-    "Block",
-    "ChannelView",
-    "DiagonalState",
-    "DistanceReport",
-    "EmpiricalLaw1D",
-    "GaussianComponent",
-    "MixtureModel",
-    "PerronData",
-    "RateEvaluation",
-    "SimConfig",
-    "SpaceDecomposition",
-    "Subspace",
-    "TrajectoryEnsemble",
-    "WalkModel",
-    "absorption",
-    "apply",
-    "apply_dual",
-    "classify_absorption",
-    "clt_mixture",
-    "decompose",
-    "diffusion",
-    "drift",
-    "histogram",
-    "invariant_operators",
-    "lambda_derivatives",
-    "lambda_split_check",
-    "ldp_estimate",
-    "legendre",
-    "log_lambda",
-    "martingale_check",
-    "mixture_cdf",
-    "orthonormal_complement",
-    "perron",
-    "poisson_solve",
-    "rate_function",
-    "reachable_space",
-    "recurrent_space",
-    "rescale",
-    "run",
-    "solve_linear",
-    "support_projection",
-    "to_matrix",
-    "validate",
-    "w1_distance",
-    "weights",
-]
+from . import asymptotics, channel, empirics, linalg, simulate, structure
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

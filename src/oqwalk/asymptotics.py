@@ -459,13 +459,13 @@ def rate_function(
 
     results = []
     for x in points:
-        per_block = []
-        for pid, sub in parts:
-            ev = legendre(model, sub, x)
-            per_block.append((pid, ev.value, ev.maximizer))
+        evs = {pid: legendre(model, sub, x) for pid, sub in parts}
+        per_block = [(pid, ev.value, ev.maximizer) for pid, ev in evs.items()]
         bid, value, maximizer = _lowest_rate(per_block)
+        # the reported part's boundary note first, then the label's caveat
+        notes = "; ".join(text for text in (evs[bid].note, note) if text)
         results.append(
-            RateEvaluation(x, value, maximizer, per_block, label, note, block_id=bid)
+            RateEvaluation(x, value, maximizer, per_block, label, notes, block_id=bid)
         )
     return results
 

@@ -162,7 +162,7 @@ class ChannelView:
     """The local channel compressed to a subspace and deformed in direction u.
 
     The compressed Kraus family acting on the subspace coordinates is
-    {B* L_i B} for basis B; ``apply`` weighs term i by exp(u . s_i).
+    {B* L_i B} for basis B; ``weights`` holds term i's factor exp(u . s_i).
     """
 
     model: WalkModel
@@ -205,18 +205,6 @@ class ChannelView:
         m = to_matrix(self)
         m.flags.writeable = False
         return m
-
-
-def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
-    """Deformed compressed channel: sum_i e^{u.s_i} K_i sigma K_i*."""
-    sigma = np.asarray(sigma, dtype=complex)
-    k = view.dim
-    if sigma.shape != (k, k):
-        raise DimensionMismatchError(f"expected {k}x{k} operator, got {sigma.shape}")
-    out = np.zeros((k, k), dtype=complex)
-    for w, kr in zip(view.weights, view.compressed_kraus):
-        out += w * (kr @ sigma @ kr.conj().T)
-    return out
 
 
 def apply_dual(view: ChannelView, x: np.ndarray) -> np.ndarray:

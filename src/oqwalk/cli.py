@@ -1,8 +1,12 @@
 """Batch command-line interface.
 
 JSON models and states in, CSV/JSON reports out; no interactive mode. Every
-command is deterministic given (input files, flags, seed); the only
+command is deterministic given its input files and flags; the only
 non-reproducible output field is the wall time recorded in run manifests.
+Only ``simulate`` takes ``--seed``, for its trajectory streams; every
+command decomposes the model by ``structure.decompose(model)``. This module
+owns the ensemble files ``ensemble_n<n>.csv`` and ``manifest_n<n>.json``:
+``simulate`` writes them, ``compare`` and ``ldp`` read them.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 model validation failure,
 3 numerical failure. Any other exception is a bug and propagates with its
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 import time
@@ -73,7 +78,8 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _seed(text: str) -> int:
-    """argparse type of ``--seed``: the random generators take seeds >= 0."""
+    """argparse type of ``simulate --seed``: the trajectory streams take
+    seeds >= 0."""
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text}")
     return int(text)
@@ -143,30 +149,27 @@ def _load_state(path: str, model: WalkModel) -> DiagonalState:
     return rho
 
 
-def _resolve_tracks(model, decomposition, track_ids):
-    """Map block/enclosure ids to absorption-operator matrices."""
-    tracks = {}
-    for tid in track_ids:
-        with _parsing(f"enclosure track {tid!r}"):
-            if "/min-" in tid:
-                bid, mid = tid.split("/min-")
-                block = decomposition.blocks[decomposition.block_ids().index(bid)]
-                sub = block.minimal_enclosures[int(mid)]
-            else:
-                block = decomposition.blocks[decomposition.block_ids().index(tid)]
-                sub = block.subspace
-        tracks[tid] = structure.absorption(model, sub).matrix
-    return tracks
+def _resolve_tracks(model, track_ids) -> dict:
+    """Absorption-operator matrix of each block id (``block-1``) or minimal
+    enclosure id (``block-0/min-0``) of the decomposition ``analyze`` reports;
+    any other spelling is an InputError."""
+    dec = structure.decompose(model)
+    subspaces = {}
+    for bid, block in zip(dec.block_ids(), dec.blocks):
+        subspaces[bid] = block.subspace
+        subspaces.update((f"{bid}/min-{j}", sub) for j, sub in enumerate(block.minimal_enclosures))
+    unknown = [tid for tid in track_ids if tid not in subspaces]
+    if unknown:
+        raise InputError(f"enclosure tracks {unknown}: the ids are {sorted(subspaces)}")
+    return {tid: structure.absorption(model, subspaces[tid]).matrix for tid in track_ids}
 
 
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
     validate(model)
     print(f"kraus normalization defect: {model.normalization_defect():.3e}")
-    dec = structure.decompose(model, seed=args.seed)
-    total = sum(
-        structure.absorption(model, b.subspace).matrix for b in dec.blocks
-    )
+    dec = structure.decompose(model)
+    total = sum(structure.absorption(model, b.subspace).matrix for b in dec.blocks)
     defect = float(np.linalg.norm(total - np.eye(model.local_dim)))
     print(f"blocks: {len(dec.blocks)}, transient dim: {dec.transient.dim}")
     print(f"absorption completeness defect: {defect:.3e}")
@@ -178,7 +181,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     model = _load_model(args.model)
-    dec = structure.decompose(model, seed=args.seed)
+    dec = structure.decompose(model)
     report = {
         "local_dim": model.local_dim,
         "lattice_dim": model.lattice_dim,
@@ -249,7 +252,7 @@ def cmd_clt(args) -> int:
     model = _load_model(args.model)
     rho = _load_state(args.state, model)
     axis = _parse_axis(args.axis, model.lattice_dim)
-    dec = structure.decompose(model, seed=args.seed)
+    dec = structure.decompose(model)
     # the components do not depend on the horizon: compute them once
     limit = asymptotics.clt_mixture(model, dec, rho, horizons[0])
     out_dir = Path(args.out)
@@ -281,13 +284,8 @@ def cmd_simulate(args) -> int:
         )
     model = _load_model(args.model)
     rho = _load_state(args.state, model)
-    track_ids = []
-    for spec_item in args.enclosure_track or []:
-        track_ids.extend(t for t in spec_item.split(",") if t)
-    tracks = {}
-    if track_ids:
-        dec = structure.decompose(model, seed=args.seed)
-        tracks = _resolve_tracks(model, dec, track_ids)
+    track_ids = [t for item in args.enclosure_track or [] for t in item.split(",") if t]
+    tracks = _resolve_tracks(model, track_ids) if track_ids else {}
     out_dir = Path(args.out)
     # one run to the longest horizon serves every horizon
     start = time.perf_counter()
@@ -295,14 +293,47 @@ def cmd_simulate(args) -> int:
     wall = time.perf_counter() - start
     for n in horizons:
         ensemble = full.at(n)
-        header, rows = simulate.ensemble_to_csv_rows(ensemble)
+        header, rows = _ensemble_rows(ensemble)
         _write_csv(out_dir / f"ensemble_n{n}.csv", header, rows)
-        _write_json(
-            out_dir / f"manifest_n{n}.json",
-            simulate.run_manifest(model, ensemble, wall),
-        )
+        _write_json(out_dir / f"manifest_n{n}.json", _manifest(model, ensemble, wall))
         print(f"wrote ensemble_n{n}.csv ({args.traj} trajectories, {wall:.1f}s)")
     return 0
+
+
+def _ensemble_rows(ensemble: simulate.TrajectoryEnsemble) -> tuple[list, list]:
+    """Header and rows of ``ensemble_n<n>.csv``, one line per trajectory."""
+    d = ensemble.final_positions.shape[1]
+    track_ids = sorted(ensemble.y_tracks.keys())
+    header = (
+        [f"x0_{j + 1}" for j in range(d)]
+        + [f"x_{j + 1}" for j in range(d)]
+        + [f"y_{tid}" for tid in track_ids]
+    )
+    # whole columns at once: ``tolist`` yields Python ints and floats, whose
+    # str and repr are those of int(v) and float(v)
+    columns = [
+        map(str, col)
+        for pos in (ensemble.initial_positions, ensemble.final_positions)
+        for col in pos.T.tolist()
+    ]
+    columns += [map(repr, ensemble.final_track(tid).tolist()) for tid in track_ids]
+    return header, list(zip(*columns))
+
+
+def _manifest(model: WalkModel, ensemble: simulate.TrajectoryEnsemble, wall_time: float) -> dict:
+    """Contents of ``manifest_n<n>.json``: the run's settings, the model's
+    hash and the wall time of the run."""
+    cfg = ensemble.config
+    model_json = json.dumps(model.to_json_dict(), sort_keys=True).encode()
+    return {
+        "model_sha256": hashlib.sha256(model_json).hexdigest(),
+        "steps": cfg.steps,
+        "trajectories": cfg.trajectories,
+        "seed": cfg.seed,
+        "y_stride": cfg.y_stride,
+        "tracks": sorted(ensemble.y_tracks.keys()),
+        "wall_time_seconds": wall_time,
+    }
 
 
 def _read_ensemble(path: str, manifest: str | None = None) -> tuple[int, np.ndarray]:
@@ -371,7 +402,7 @@ def cmd_ldp(args) -> int:
         samples = [_read_ensemble(path) for path in args.ensemble.split(",")]
         if any(n < 1 or disp.shape[1] != d for n, disp in samples):
             raise InputError(f"--ensemble: need {d}-dimensional ensembles of n >= 1 steps")
-    dec = structure.decompose(model, seed=args.seed)
+    dec = structure.decompose(model)
 
     header = (
         [f"x_{j + 1}" for j in range(d)]
@@ -417,15 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, state_required=True):
         p.add_argument("--model", required=True, help="model JSON file")
-        if state_required is not None:
-            p.add_argument(
-                "--state", required=state_required, help="initial state JSON file"
-            )
+        p.add_argument("--state", required=state_required, help="initial state JSON file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("validate", help="check the model file")
-    common(p, state_required=None)
+    p.add_argument("--model", required=True, help="model JSON file")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="export the space decomposition")
@@ -443,12 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--steps", required=True, help="comma-separated horizons")
     p.add_argument("--traj", type=int, required=True)
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the trajectory streams")
     p.add_argument("--y-stride", type=int, default=1)
     p.add_argument(
         "--enclosure-track",
         action="append",
         default=None,
-        help="block id (e.g. block-1) whose absorption value is recorded",
+        help="block id (e.g. block-1) or enclosure id (block-0/min-0), as analyze "
+        "numbers them, whose absorption value is recorded",
     )
     p.set_defaults(func=cmd_simulate)
 

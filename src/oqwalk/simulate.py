@@ -2,7 +2,8 @@
 
 Each trajectory carries a lattice position and a normalized internal state;
 one step draws a Kraus index with probability Tr(L_j rho L_j*), shifts the
-position by the corresponding vector, and renormalizes L_j rho L_j*.
+position by the corresponding vector, and renormalizes L_j rho L_j*. ``run``
+returns arrays; ``cli`` writes and reads the ensemble files.
 
 Reproducibility: trajectory i draws from a Philox (counter-based) stream
 keyed by (seed, i), so ensembles are bit-identical across runs, chunk sizes
@@ -90,8 +91,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import json
 import os
 import pickle
 import signal
@@ -573,42 +572,3 @@ def classify_absorption(
     frac_lo = float(np.sum(final < ABSORBED_LO)) / n
     return frac_hi, frac_lo, 1.0 - frac_hi - frac_lo
 
-
-def model_hash(model: WalkModel) -> str:
-    payload = json.dumps(model.to_json_dict(), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def ensemble_to_csv_rows(ensemble: TrajectoryEnsemble) -> tuple[list, list]:
-    """Header and rows for the one-line-per-trajectory export."""
-    d = ensemble.final_positions.shape[1]
-    track_ids = sorted(ensemble.y_tracks.keys())
-    header = (
-        [f"x0_{j + 1}" for j in range(d)]
-        + [f"x_{j + 1}" for j in range(d)]
-        + [f"y_{tid}" for tid in track_ids]
-    )
-    # whole columns at once: ``tolist`` yields Python ints and floats, whose
-    # str and repr are those of int(v) and float(v)
-    columns = [
-        map(str, col)
-        for pos in (ensemble.initial_positions, ensemble.final_positions)
-        for col in pos.T.tolist()
-    ]
-    columns += [map(repr, ensemble.final_track(tid).tolist()) for tid in track_ids]
-    return header, list(zip(*columns))
-
-
-def run_manifest(
-    model: WalkModel, ensemble: TrajectoryEnsemble, wall_time: float
-) -> dict:
-    cfg = ensemble.config
-    return {
-        "model_sha256": model_hash(model),
-        "steps": cfg.steps,
-        "trajectories": cfg.trajectories,
-        "seed": cfg.seed,
-        "y_stride": cfg.y_stride,
-        "tracks": sorted(ensemble.y_tracks.keys()),
-        "wall_time_seconds": wall_time,
-    }

@@ -52,6 +52,14 @@ AMBIGUITY_BAND = 1e-7
 TOL_LINK = 1e-8  # Frobenius norm up to which a compressed dual fixed point is 0
 
 
+def _site(coords) -> tuple:
+    """Lattice site of integer ``coords``; other coordinates are a ValueError."""
+    coords = np.atleast_1d(coords).tolist()
+    if not all(isinstance(c, (int, float)) and float(c).is_integer() for c in coords):
+        raise ValueError(f"site {tuple(coords)}: coordinates must be integers")
+    return tuple(int(c) for c in coords)
+
+
 @dataclass(frozen=True)
 class DiagonalState:
     """Initial state diagonal in position: a map from lattice site to operator."""
@@ -63,7 +71,9 @@ class DiagonalState:
         dim = None
         total = 0.0
         for site, mat in self.entries.items():
-            site = tuple(int(c) for c in np.atleast_1d(site))
+            site = _site(site)
+            if site in entries:
+                raise ValueError(f"site {site} is given twice")
             mat = np.asarray(mat, dtype=complex)
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"site {site}: entries must be finite")
@@ -122,12 +132,13 @@ class DiagonalState:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiagonalState":
-        return DiagonalState(
-            {
-                tuple(item["site"]): matrix_from_json(item["matrix"])
-                for item in data["entries"]
-            }
-        )
+        entries = {}
+        for item in data["entries"]:
+            site = _site(item["site"])
+            if site in entries:
+                raise ValueError(f"site {site} is given twice")
+            entries[site] = matrix_from_json(item["matrix"])
+        return DiagonalState(entries)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -21,12 +21,13 @@ from oqwalk.asymptotics import (
     poisson_solve,
     rate_function,
 )
-from oqwalk.channel import ChannelView, apply, perron
+from oqwalk.channel import ChannelView, perron
 from oqwalk.empirics import rescale, w1_distance
 from oqwalk.linalg import Subspace
 from oqwalk.simulate import SimConfig, classify_absorption, martingale_check, run
 from oqwalk.structure import DiagonalState, absorption, decompose
 from util import (
+    apply,
     basis_subspace,
     bernoulli_rate,
     random_densities,

@@ -19,7 +19,7 @@ from oqwalk.asymptotics import (
     poisson_solve,
     rate_function,
 )
-from oqwalk.channel import ChannelView, WalkModel, apply, perron
+from oqwalk.channel import ChannelView, WalkModel, perron
 from oqwalk.errors import (
     DimensionMismatchError,
     NotIrreducibleError,
@@ -27,7 +27,7 @@ from oqwalk.errors import (
 )
 from oqwalk.linalg import Subspace
 from oqwalk.structure import DiagonalState, decompose
-from util import basis_subspace, bernoulli_rate, random_irreducible_model
+from util import apply, basis_subspace, bernoulli_rate, random_irreducible_model
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -486,6 +486,21 @@ class TestRateFunction:
         (ev,) = rate_function(four_state, four_state_dec, transient_start, [0.0])
         assert ev.label == "bounds-only"
         assert "exposed points" in ev.note
+
+    def test_boundary_note_of_the_reported_part(self):
+        # at the edge of the shift range and beyond it the ascent ends on the
+        # search boundary; that note comes first, then the label's caveat
+        model = WalkModel.load(FIXTURES / "two_state.json")
+        rho = DiagonalState.load(FIXTURES / "state_two_recurrent.json")
+        edge, beyond = rate_function(model, decompose(model), rho, [[1.0], [1.2]])
+        assert edge.note == "maximizer on the search boundary; rate possibly infinite; " + (
+            asymptotics.NONSMOOTH_CAVEAT
+        )
+        assert beyond.value == np.inf
+        assert beyond.note.startswith("objective unbounded on the search region; rate possibly")
+        assert beyond.note.endswith(asymptotics.NONSMOOTH_CAVEAT)
+        for ev in (edge, beyond):
+            assert ev.maximizer == pytest.approx([asymptotics.U_MAX])
 
     @pytest.mark.parametrize(
         "model_file, state_file",

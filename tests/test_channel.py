@@ -11,7 +11,6 @@ from oqwalk import models
 from oqwalk.channel import (
     ChannelView,
     WalkModel,
-    apply,
     apply_dual,
     perron,
     to_matrix,
@@ -21,7 +20,7 @@ from oqwalk.channel import (
 )
 from oqwalk.errors import DimensionMismatchError, NotTracePreservingError
 from oqwalk.linalg import Subspace
-from util import basis_subspace, random_densities, random_walk_model
+from util import apply, basis_subspace, random_densities, random_walk_model
 
 
 class TestValidate:

@@ -26,9 +26,7 @@ def read_csv(path):
 
 class TestValidate:
     def test_fixture_passes(self, tmp_path):
-        rc = main(["validate", "--model", fixture("four_state_p3_sixth.json"),
-                   "--out", str(tmp_path)])
-        assert rc == 0
+        assert main(["validate", "--model", fixture("four_state_p3_sixth.json")]) == 0
 
     def test_broken_model_rejected(self, tmp_path):
         data = json.loads(Path(fixture("two_state.json")).read_text())
@@ -258,6 +256,34 @@ class TestSimulate:
         assert manifest["steps"] == 40
         assert manifest["tracks"] == ["block-1"]
 
+    def test_tracks_name_the_enclosures_analyze_reports(self, tmp_path):
+        # every trajectory starts in e0, so each track reads Tr(A e0 e0*),
+        # the weight that analyze reports for the same block or enclosure,
+        # whatever the trajectory seed
+        model = fixture("four_state_p3_sixth.json")
+        state = fixture("state_four_transient.json")
+        assert main(["analyze", "--model", model, "--state", state, "--out", str(tmp_path)]) == 0
+        weights = json.loads((tmp_path / "analysis.json").read_text())["weights"]
+        expected = {
+            "y_block-0/min-0": weights["block-0"]["enclosures"][0],
+            "y_block-1": weights["block-1"]["block"],
+        }
+        columns = []
+        for seed in ("0", "42"):
+            out = tmp_path / f"seed{seed}"
+            assert main([
+                "simulate", "--model", model, "--state", state, "--steps", "0",
+                "--traj", "20", "--seed", seed,
+                "--enclosure-track", "block-0/min-0,block-1", "--out", str(out),
+            ]) == 0
+            header, rows = read_csv(out / "ensemble_n0.csv")
+            tracks = {name: [r[j] for r in rows] for j, name in enumerate(header) if "y_" in name}
+            assert tracks.keys() == expected.keys()
+            for name, values in tracks.items():
+                assert all(abs(float(v) - expected[name]) <= 1e-12 for v in values)
+            columns.append(tracks)
+        assert columns[0] == columns[1]
+
     def test_zero_steps_yields_zero_displacement(self, tmp_path):
         rc = main([
             "simulate",
@@ -326,7 +352,9 @@ class TestSimulate:
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("track", ["block-7", "block-0/min-7", "block-0/min-x"])
+    @pytest.mark.parametrize(
+        "track", ["block-7", "block-0/min-7", "block-0/min-x", "block-0/min--1", "block-0/min-01"]
+    )
     def test_unknown_track_is_input_error(self, tmp_path, track):
         rc = main([
             "simulate",
@@ -624,8 +652,12 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_negative_seed(self, tmp_path, capsys, command):
+        # only simulate takes a seed; the other commands refuse the option
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], "--seed", "-1")
-        assert "need a seed >= 0" in err
+        if command == "simulate":
+            assert "need a seed >= 0" in err
+        else:
+            assert "unrecognized arguments: --seed" in err
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_state_of_another_model(self, tmp_path, capsys, command):
@@ -659,6 +691,26 @@ class TestInputErrors:
         base = ["--model", fixture("two_state.json"), "--state", str(state)]
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
         assert "input error" in err and "entries must be finite" in err
+
+    @pytest.mark.parametrize(
+        "sites, message",
+        [
+            ([[0], [1.9]], "site (1.9,): coordinates must be integers"),
+            ([[0.5], [0]], "site (0.5,): coordinates must be integers"),
+            ([[1], [1.0]], "site (1,) is given twice"),
+        ],
+        ids=["fraction", "fraction-onto-0", "twice"],
+    )
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_sites_that_are_not_distinct_integers(
+        self, tmp_path, capsys, command, sites, message
+    ):
+        half = channel.matrix_to_json(np.diag([0.5, 0.0]))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"entries": [{"site": s, "matrix": half} for s in sites]}))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+        assert "input error" in err and message in err
 
     def test_one_prediction_per_ensemble(self, tmp_path, capsys):
         err = self.run(

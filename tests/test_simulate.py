@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from oqwalk import models, simulate
-from oqwalk.channel import ChannelView, WalkModel, apply
+from oqwalk import cli, models, simulate
+from oqwalk.channel import ChannelView, WalkModel
 from oqwalk.cli import main
 from oqwalk.errors import DegenerateStepError, MissingTrackError, NumericalDegeneracyError
 from oqwalk.linalg import orthonormal_complement
@@ -20,7 +20,7 @@ from oqwalk.simulate import (
 )
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
 from scalar_walk import TrajectoryState, branch_probabilities, sample_initial, step
-from util import basis_subspace, random_densities, random_density, random_walk_model
+from util import apply, basis_subspace, random_densities, random_density, random_walk_model
 
 
 @pytest.fixture(scope="module")
@@ -692,6 +692,8 @@ class TestTransientDecay:
 
 
 class TestExport:
+    """The ensemble files that ``cli`` writes from a run."""
+
     def test_csv_rows(self, four_state_module, transient_rho, edge_absorption):
         ens = run(
             four_state_module,
@@ -699,7 +701,7 @@ class TestExport:
             SimConfig(steps=5, trajectories=4, seed=9),
             tracks={"edge": edge_absorption},
         )
-        header, rows = simulate.ensemble_to_csv_rows(ens)
+        header, rows = cli._ensemble_rows(ens)
         assert header == ["x0_1", "x_1", "y_edge"]
         assert len(rows) == 4
         assert all(len(r) == 3 for r in rows)
@@ -707,7 +709,7 @@ class TestExport:
     def test_manifest_fields(self, four_state_module, transient_rho):
         cfg = SimConfig(steps=5, trajectories=4, seed=9)
         ens = run(four_state_module, transient_rho, cfg)
-        manifest = simulate.run_manifest(four_state_module, ens, wall_time=1.5)
+        manifest = cli._manifest(four_state_module, ens, wall_time=1.5)
         assert manifest["steps"] == 5
         assert manifest["seed"] == 9
         assert len(manifest["model_sha256"]) == 64

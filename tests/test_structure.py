@@ -532,6 +532,22 @@ class TestDiagonalState:
         with pytest.raises(ValueError, match=r"site \(1,\): entries must be finite"):
             DiagonalState(entries)
 
+    @pytest.mark.parametrize("coord", [1.9, 0.5, np.inf])
+    def test_site_coordinates_must_be_integers(self, coord):
+        # a fraction is not rounded onto a site: 0.5 would merge into site 0
+        # after the total trace was checked
+        entries = {(0,): np.diag([0.5, 0.0]), (coord,): np.diag([0.0, 0.5])}
+        with pytest.raises(ValueError, match=rf"site \({coord},\): coordinates must be integers"):
+            DiagonalState(entries)
+
+    def test_site_given_twice(self):
+        half = channel.matrix_to_json(np.diag([0.5, 0.0]))
+        with pytest.raises(ValueError, match=r"site \(1,\) is given twice"):
+            DiagonalState({1: np.diag([0.5, 0.0]), (1,): np.diag([0.0, 0.5])})
+        data = {"entries": [{"site": [1], "matrix": half}, {"site": [1.0], "matrix": half}]}
+        with pytest.raises(ValueError, match=r"site \(1,\) is given twice"):
+            DiagonalState.from_json_dict(data)
+
     def test_zero_trace_site_allowed(self):
         rho = DiagonalState({(0,): np.diag([1.0, 0.0]), (1,): np.zeros((2, 2))})
         sites, traces, mats = rho.normalized_sites()

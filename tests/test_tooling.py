@@ -7,13 +7,18 @@ fail here instead. One more keeps the per-model memo behind its one
 accessor, ``WalkModel.cached``, two keep the superoperator of a channel view
 behind its one builder, ``ChannelView.matrix``, and one keeps
 ``scipy.stats``, which about doubles the import time, out of the package's
-imports."""
+imports. The last three keep the public surface small and true: the package
+exports only its modules, every CLI option is read by its command, and the
+README's command examples parse."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -186,7 +191,7 @@ def test_one_superoperator_per_perron_calculus(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("oqwalk") and getattr(module, "to_matrix", None) is real:
             monkeypatch.setattr(module, "to_matrix", counted)
-    assert oqwalk.to_matrix is counted
+    assert not hasattr(oqwalk, "to_matrix")
 
     model = models.irreducible_two_state()
     asymptotics.diffusion(model, Subspace.full(2))
@@ -205,3 +210,49 @@ def test_package_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_only_its_modules():
+    """``oqwalk`` binds its submodules and ``__version__``; callers import
+    names from the modules."""
+    import oqwalk
+
+    public = {name: value for name, value in vars(oqwalk).items() if not name.startswith("_")}
+    assert {"asymptotics", "channel", "empirics", "linalg", "simulate", "structure"} <= set(public)
+    for name, value in public.items():
+        assert inspect.ismodule(value) and value.__name__ == f"oqwalk.{name}", name
+    assert isinstance(oqwalk.__version__, str)
+
+
+def _subcommands() -> dict:
+    from oqwalk import cli
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_cli_option_is_read(command):
+    """Each option a subcommand registers is read as ``args.<dest>`` by the
+    function it runs, so no option is accepted and then ignored."""
+    parser = _subcommands()[command]
+    source = inspect.getsource(parser.get_default("func"))
+    dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    assert dests and {d for d in dests if not re.search(rf"\bargs\.{d}\b", source)} == set()
+
+
+def _readme_commands() -> list:
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("oqwalk ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_parse(argv):
+    """Each ``oqwalk ...`` example in the README's "Command line" block
+    parses with the CLI's own parser."""
+    from oqwalk import cli
+
+    assert cli.build_parser().parse_args(argv).command == argv[0]

@@ -2,8 +2,23 @@
 
 import numpy as np
 
-from oqwalk.channel import WalkModel
+from oqwalk.channel import ChannelView, WalkModel
+from oqwalk.errors import DimensionMismatchError
 from oqwalk.linalg import Subspace
+
+
+def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
+    """Deformed compressed channel sum_i e^{u.s_i} K_i sigma K_i*, as a Kraus
+    sum: the reference that superoperator matrices and Poisson residuals are
+    checked against."""
+    sigma = np.asarray(sigma, dtype=complex)
+    k = view.dim
+    if sigma.shape != (k, k):
+        raise DimensionMismatchError(f"expected {k}x{k} operator, got {sigma.shape}")
+    out = np.zeros((k, k), dtype=complex)
+    for w, kr in zip(view.weights, view.compressed_kraus):
+        out += w * (kr @ sigma @ kr.conj().T)
+    return out
 
 
 def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
