@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelView, PerronData, WalkModel, perron, unvec, vec
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotIrreducibleError,
-    NumericalDegeneracyError,
-    SingularMatrixError,
-    SplitIdentityError,
-)
+from .errors import NoConvergenceError, NumericalDegeneracyError, SingularMatrixError
 from .linalg import (
     Subspace,
     hermitian_part,
@@ -63,10 +56,12 @@ class GaussianComponent:
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean_rate, dtype=float))
         c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise ValueError("mean rate and covariance must be finite")
         if np.linalg.norm(c - c.T) > 1e-10:
-            raise NumericalDegeneracyError("covariance must be symmetric")
+            raise ValueError("covariance must be symmetric")
         if float(np.min(np.linalg.eigvalsh(0.5 * (c + c.T)))) < -1e-9:
-            raise NumericalDegeneracyError("covariance must be positive semidefinite")
+            raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean_rate", m)
         object.__setattr__(self, "covariance", 0.5 * (c + c.T))
 
@@ -83,11 +78,17 @@ class MixtureModel:
     horizon: int
 
     def __post_init__(self):
+        if not self.components:
+            raise ValueError("a mixture needs at least one component")
+        if self.horizon < 0:
+            raise ValueError(f"horizon {self.horizon} is negative")
+        if not all(np.isfinite(w) for w, _ in self.components):
+            raise ValueError("weights must be finite")
         total = sum(w for w, _ in self.components)
-        if self.components and abs(total - 1.0) > 1e-9:
-            raise NumericalDegeneracyError(f"weights sum to {total}, not 1")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights sum to {total}, not 1")
         if any(w < -1e-12 for w, _ in self.components):
-            raise NumericalDegeneracyError("weights must be nonnegative")
+            raise ValueError("weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,10 @@ def _enclosure_calculus(model: WalkModel, enclosure: Subspace) -> _PerronCalculu
     """
     view = ChannelView(model, enclosure)
     if view.dim == 0:
-        raise NotIrreducibleError("empty enclosure")
+        raise NumericalDegeneracyError("empty enclosure")
     pd = perron(view)
     if _count_fixed(pd.eigenvalues) != 1:
-        raise NotIrreducibleError("restricted channel has a degenerate fixed space")
+        raise NumericalDegeneracyError("restricted channel has a degenerate fixed space")
     return _PerronCalculus(view, pd)
 
 
@@ -243,7 +244,10 @@ def clt_mixture(
             continue
         m = drift(model, block.invariant_state)
         cov = diffusion(model, block.minimal_enclosures[0])
-        components.append((w, GaussianComponent(m, cov)))
+        try:
+            components.append((w, GaussianComponent(m, cov)))
+        except ValueError as exc:  # computed, so not a caller's value
+            raise NumericalDegeneracyError(str(exc)) from exc
     # renormalize away the dropped mass (at most len(blocks) * WEIGHT_FLOOR)
     total = sum(w for w, _ in components)
     components = [(w / total, g) for w, g in components]
@@ -436,7 +440,9 @@ def rate_function(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[-1] != model.lattice_dim:
-        raise DimensionMismatchError(f"points need {model.lattice_dim} components")
+        raise ValueError(f"points need {model.lattice_dim} components")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
     block_weights, enclosure_weights = weights(model, decomposition, rho)
     ids, blocks = decomposition.block_ids(), decomposition.blocks
     if decomposition.is_recurrent:
@@ -507,7 +513,7 @@ def lambda_split_check(
 
     expected = max(lam_v, lam_w)
     if abs(lam_q - expected) > 1e-8 * max(1.0, lam_q):
-        raise SplitIdentityError(
+        raise NumericalDegeneracyError(
             f"spectral radius {lam_q} differs from max{{{lam_v}, {lam_w}}}"
         )
     return lam_q, lam_v, lam_w

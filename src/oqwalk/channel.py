@@ -23,11 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotTracePreservingError,
-)
+from .errors import NoConvergenceError, NotTracePreservingError
 from .linalg import Subspace, _dominant_index, hermitian_part
 
 TOL_TRACE_PRESERVING = 1e-9
@@ -64,12 +60,14 @@ def unvec(x: np.ndarray) -> np.ndarray:
 class WalkModel:
     """Shift vectors and Kraus operators of a homogeneous open quantum walk.
 
-    A model is immutable: it holds read-only copies of the arrays it was
-    given, so structure computed from it never goes stale. ``cached`` is the
-    one memo: the recurrent split, each absorption operator and each
-    ``decompose(model, seed)`` are built on first use and shared after, so
-    what they return is read-only. Copies and pickles start with an empty
-    memo.
+    A model whose Kraus normalization misses the identity by more than
+    TOL_TRACE_PRESERVING is refused with NotTracePreservingError, after the
+    structural checks (ValueError). A model is immutable: it holds read-only
+    copies of the arrays it was given, so structure computed from it never
+    goes stale. ``cached`` is the one memo: the recurrent split, each
+    absorption operator and each ``decompose(model, seed)`` are built on
+    first use and shared after, so what they return is read-only. Copies and
+    pickles start with an empty memo.
     """
 
     shifts: np.ndarray  # (v, d) integer lattice vectors
@@ -93,6 +91,9 @@ class WalkModel:
         kraus.flags.writeable = False
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "kraus", kraus)
+        defect = self.normalization_defect()
+        if defect > TOL_TRACE_PRESERVING:
+            raise NotTracePreservingError(defect)
 
     def __reduce__(self):
         # rebuild through __post_init__: copies stay read-only, the memo empty
@@ -150,13 +151,6 @@ class WalkModel:
             return WalkModel.from_json_dict(json.load(fh))
 
 
-def validate(model: WalkModel) -> None:
-    """Check the Kraus normalization sum_i L_i* L_i = 1."""
-    defect = model.normalization_defect()
-    if defect > TOL_TRACE_PRESERVING:
-        raise NotTracePreservingError(defect)
-
-
 @dataclass(frozen=True)
 class ChannelView:
     """The local channel compressed to a subspace and deformed in direction u.
@@ -171,13 +165,13 @@ class ChannelView:
 
     def __post_init__(self):
         if self.subspace.ambient_dim != self.model.local_dim:
-            raise DimensionMismatchError("subspace ambient dim != local dim")
+            raise ValueError("subspace ambient dim != local dim")
         u = self.u
         if u is None:
             u = np.zeros(self.model.lattice_dim)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (self.model.lattice_dim,):
-            raise DimensionMismatchError("deformation direction has wrong dimension")
+            raise ValueError("deformation direction has wrong dimension")
         object.__setattr__(self, "u", u)
 
     @staticmethod
@@ -212,7 +206,7 @@ def apply_dual(view: ChannelView, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     k = view.dim
     if x.shape != (k, k):
-        raise DimensionMismatchError(f"expected {k}x{k} operator, got {x.shape}")
+        raise ValueError(f"expected {k}x{k} operator, got {x.shape}")
     out = np.zeros((k, k), dtype=complex)
     for w, kr in zip(view.weights, view.compressed_kraus):
         out += w * (kr.conj().T @ x @ kr)

@@ -28,14 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, empirics, simulate, structure
-from .channel import WalkModel, matrix_to_json, validate
-from .errors import (
-    HorizonMismatchError,
-    MissingAxisError,
-    NotTracePreservingError,
-    NumericalDegeneracyError,
-    OQWalkError,
-)
+from .channel import WalkModel, matrix_to_json
+from .errors import NotTracePreservingError, OQWalkError
 from .structure import DiagonalState
 
 # most points a --grid may have: a grid is allocated whole before any work
@@ -115,22 +109,18 @@ def _parsing(what: str):
     whose covariance is not positive semidefinite."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, NumericalDegeneracyError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_axis(text, dim: int) -> np.ndarray:
     """The ``--axis`` projection vector for ``dim`` lattice dimensions (by
     default (1,) when dim = 1). A missing axis for dim > 1, or one with
-    other than ``dim`` components, is an InputError."""
-    axis = None
-    if text:
-        with _parsing(f"--axis {text!r}"):
-            axis = np.array([float(tok) for tok in text.split(",") if tok.strip()])
-    try:
+    other than ``dim`` components or with an entry that is not finite, is an
+    InputError."""
+    with _parsing(f"--axis {text!r}" if text else "--axis"):
+        axis = [float(tok) for tok in text.split(",") if tok.strip()] if text else None
         return empirics._resolve_axis(dim, axis)
-    except MissingAxisError as exc:
-        raise InputError(f"--axis: {exc}") from exc
 
 
 def _load_model(path: str) -> WalkModel:
@@ -144,7 +134,7 @@ def _load_state(path: str, model: WalkModel) -> DiagonalState:
     with _parsing(path):
         rho = DiagonalState.load(path)
         k, d = model.local_dim, model.lattice_dim
-        if rho.local_dim != k or any(len(site) != d for site in rho.entries):
+        if rho.local_dim != k or rho.lattice_dim != d:
             raise ValueError(f"the model needs {k}x{k} operators on sites in Z^{d}")
     return rho
 
@@ -166,7 +156,6 @@ def _resolve_tracks(model, track_ids) -> dict:
 
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
-    validate(model)
     print(f"kraus normalization defect: {model.normalization_defect():.3e}")
     dec = structure.decompose(model)
     total = sum(structure.absorption(model, b.subspace).matrix for b in dec.blocks)
@@ -339,13 +328,16 @@ def _manifest(model: WalkModel, ensemble: simulate.TrajectoryEnsemble, wall_time
 def _read_ensemble(path: str, manifest: str | None = None) -> tuple[int, np.ndarray]:
     """Horizon and (N, d) displacements of an ``ensemble_n<n>.csv`` that
     ``simulate`` wrote; the horizon comes from ``manifest``, by default the
-    ``manifest_n<n>.json`` written beside it."""
+    ``manifest_n<n>.json`` written beside it. A negative horizon, and a
+    position that is not a finite integer, is an InputError."""
     if not manifest:
         csv_path = Path(path)
         name = csv_path.name.replace("ensemble_", "manifest_")
         manifest = csv_path.with_name(name).with_suffix(".json")
     with _parsing(manifest), open(manifest) as fh:
         steps = int(json.load(fh)["steps"])
+        if steps < 0:
+            raise ValueError(f"steps {steps} is negative")
     with _parsing(path):
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
@@ -355,6 +347,8 @@ def _read_ensemble(path: str, manifest: str | None = None) -> tuple[int, np.ndar
         x0 = [i for i, name in enumerate(header) if name.startswith("x0_")]
         x = [i for i, name in enumerate(header) if name.startswith("x_")]
         positions = np.loadtxt(rows, delimiter=",", usecols=x0 + x, ndmin=2)
+        if not np.all(np.isfinite(positions) & (positions == np.round(positions))):
+            raise ValueError("positions must be finite integers")
     return steps, positions[:, len(x0) :] - positions[:, : len(x0)]
 
 
@@ -371,7 +365,7 @@ def cmd_compare(args) -> int:
         with _parsing(pred_path), open(pred_path) as fh:
             mixture = _mixture_from_payload(json.load(fh))
         if n != mixture.horizon:
-            raise HorizonMismatchError(
+            raise InputError(
                 f"ensemble horizon {n} != prediction horizon {mixture.horizon}"
             )
         if any(g.mean_rate.size != disp.shape[1] for _, g in mixture.components):
@@ -394,6 +388,10 @@ def cmd_ldp(args) -> int:
     rho = _load_state(args.state, model)
     d = model.lattice_dim
     axis = _parse_axis(args.axis, d)
+    with np.errstate(over="ignore"):
+        points = grid[:, None] * axis
+    if not np.all(np.isfinite(points)):
+        raise InputError("--grid/--axis: the sweep points are not finite")
     decay = args.ensemble is not None
     if decay != (args.interval is not None):
         raise InputError("--ensemble and --interval go together: give both or neither")
@@ -410,7 +408,7 @@ def cmd_ldp(args) -> int:
         + [f"ustar_{j + 1}" for j in range(d)]
         + ["block_id", "label"]
     )
-    evaluations = asymptotics.rate_function(model, dec, rho, grid[:, None] * axis)
+    evaluations = asymptotics.rate_function(model, dec, rho, points)
     rows = [
         [_fmt(v) for v in ev.point]
         + [_fmt(ev.value)]
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
     except NotTracePreservingError as exc:
         print(f"model validation failed: {exc}", file=sys.stderr)
         return 2
-    except (OSError, InputError, HorizonMismatchError) as exc:
+    except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except OQWalkError as exc:

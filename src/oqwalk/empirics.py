@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .asymptotics import MixtureModel
-from .errors import EmptyEnsembleError, MissingAxisError
 from .simulate import TrajectoryEnsemble
 
 DIRAC_SIGMA = 1e-12
@@ -52,11 +51,13 @@ class DistanceReport:
 def _resolve_axis(dim: int, axis) -> np.ndarray:
     if axis is None:
         if dim != 1:
-            raise MissingAxisError("projection axis required for lattice_dim > 1")
+            raise ValueError("projection axis required for lattice_dim > 1")
         return np.array([1.0])
     axis = np.atleast_1d(np.asarray(axis, dtype=float))
     if axis.shape != (dim,):
-        raise MissingAxisError(f"axis must have {dim} components")
+        raise ValueError(f"axis must have {dim} components")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError("axis entries must be finite")
     return axis
 
 
@@ -77,8 +78,6 @@ def rescaled_law(displacements, n: int, axis=None) -> EmpiricalLaw1D:
 
 def _projected_components(mixture: MixtureModel, axis) -> list:
     """(weight, mean, sigma) per component along the projection axis."""
-    if not mixture.components:
-        return []
     dim = mixture.components[0][1].mean_rate.size
     a = _resolve_axis(dim, axis)
     root_n = np.sqrt(mixture.horizon)
@@ -140,7 +139,7 @@ def w1_distance(emp: EmpiricalLaw1D, mixture: MixtureModel, axis=None) -> Distan
     xs = emp.samples
     n = emp.count
     if n == 0:
-        raise EmptyEnsembleError("empirical law has no samples")
+        raise ValueError("empirical law has no samples")
 
     atoms = np.array(
         [mu for w, mu, sigma in comps if sigma <= DIRAC_SIGMA and w > 0], dtype=float
@@ -224,7 +223,7 @@ def ldp_estimate(samples: list, interval: tuple[float, float], axis=None) -> lis
 def histogram(emp: EmpiricalLaw1D, bins: int) -> list:
     """Equal-width density histogram rows (left, right, density)."""
     if emp.count == 0:
-        raise EmptyEnsembleError("cannot histogram an empty ensemble")
+        raise ValueError("cannot histogram an empty ensemble")
     density, edges = np.histogram(emp.samples, bins=bins, density=True)
     return [
         (float(edges[i]), float(edges[i + 1]), float(density[i]))

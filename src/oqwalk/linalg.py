@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    NegativeEigenvalueError,
-    NotHermitianError,
-    SingularMatrixError,
-)
+from .errors import NumericalDegeneracyError, SingularMatrixError
 
 TOL_ORTHO = 1e-10
 TOL_RANK = 1e-10
@@ -80,17 +76,17 @@ def support_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     support, ascending, and their orthonormal eigenvectors (columns).
 
     Eigenvalues above ``TOL_RANK * ||h||`` count toward the support. Raises
-    NotHermitianError / NegativeEigenvalueError when ``h`` is not a valid
-    positive operator within TOL_RANK.
+    NumericalDegeneracyError when ``h`` is not a valid positive operator
+    within TOL_RANK.
     """
     h = np.asarray(h, dtype=complex)
     dev = np.linalg.norm(h - h.conj().T)
     if dev > TOL_RANK:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+        raise NumericalDegeneracyError(f"matrix deviates from Hermitian by {dev:.3e}")
     w, v = np.linalg.eigh(hermitian_part(h))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and w[0] < -TOL_RANK * max(scale, 1.0):
-        raise NegativeEigenvalueError(f"minimum eigenvalue {w[0]:.3e}")
+        raise NumericalDegeneracyError(f"minimum eigenvalue {w[0]:.3e}")
     keep = w > TOL_RANK * max(scale, 1.0)
     return w[keep], v[:, keep]
 

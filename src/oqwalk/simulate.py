@@ -100,11 +100,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import WalkModel
-from .errors import (
-    DegenerateStepError,
-    MissingTrackError,
-    NumericalDegeneracyError,
-)
+from .errors import NumericalDegeneracyError
 from .linalg import support_eigenpairs
 from .structure import DiagonalState
 
@@ -170,7 +166,7 @@ class TrajectoryEnsemble:
 
     def final_track(self, track_id: str) -> np.ndarray:
         if track_id not in self.y_tracks:
-            raise MissingTrackError(f"no track named {track_id!r}")
+            raise KeyError(f"no track named {track_id!r}")
         return self.y_tracks[track_id][:, -1]
 
 
@@ -513,14 +509,14 @@ def run(
             np.clip(probs, 0.0, None, out=probs)
             totals = probs.sum(axis=1)
             if not np.all(totals >= 1e-14):
-                raise DegenerateStepError("all branch probabilities vanish")
+                raise NumericalDegeneracyError("all branch probabilities vanish")
             cdf = np.cumsum(probs / totals[:, None], axis=1)
             chosen = np.minimum(
                 (cdf < uniforms[:, k, None]).sum(axis=1), num_kraus - 1
             )
             states, weights = form.take(states, products, probs, chosen)
             if not np.all(weights >= 1e-14):
-                raise DegenerateStepError("selected branch has vanishing probability")
+                raise NumericalDegeneracyError("selected branch has vanishing probability")
             states = form.normalize(states, weights, n)
             positions += shifts[chosen]
             record(n)

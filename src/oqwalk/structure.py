@@ -30,13 +30,7 @@ from .channel import (
     unvec,
     vec,
 )
-from .errors import (
-    NegativeEigenvalueError,
-    NotAnEnclosureError,
-    NotHermitianError,
-    NumericalDegeneracyError,
-    SingularTransientSystemError,
-)
+from .errors import NumericalDegeneracyError
 from .linalg import (
     Subspace,
     hermitian_part,
@@ -74,6 +68,8 @@ class DiagonalState:
             site = _site(site)
             if site in entries:
                 raise ValueError(f"site {site} is given twice")
+            if entries and len(site) != len(next(iter(entries))):
+                raise ValueError(f"site {site}: all sites must share one lattice dimension")
             mat = np.asarray(mat, dtype=complex)
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"site {site}: entries must be finite")
@@ -96,7 +92,7 @@ class DiagonalState:
         for site, trace, mat in zip(*self.normalized_sites()):
             try:
                 support_eigenpairs(mat)
-            except (NotHermitianError, NegativeEigenvalueError) as exc:
+            except NumericalDegeneracyError as exc:
                 raise ValueError(f"site {site} over its trace {trace:.3e}: {exc}") from exc
 
     @property
@@ -392,7 +388,7 @@ def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     spectral radius is < 1. (Solving on the full complement instead is
     singular whenever the complement contains another recurrent block.)
     A solve that fails or does not verify raises
-    SingularTransientSystemError.
+    NumericalDegeneracyError.
 
     Memoized per model (``WalkModel.cached``), keyed by the exact bytes and
     shape of ``enclosure.basis``: identical inputs return the identical
@@ -410,7 +406,7 @@ def absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
 def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     defect = enclosure_defect(model, enclosure)
     if defect > TOL_ENCLOSURE:
-        raise NotAnEnclosureError(f"enclosure defect {defect:.3e}")
+        raise NumericalDegeneracyError(f"enclosure defect {defect:.3e}")
 
     p = enclosure.projector()
     full = ChannelView.full(model)
@@ -427,12 +423,12 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
         try:
             y = unvec(np.linalg.solve(np.eye(dual_w.shape[0]) - dual_w, rhs))
         except np.linalg.LinAlgError as exc:
-            raise SingularTransientSystemError(str(exc)) from exc
+            raise NumericalDegeneracyError(str(exc)) from exc
         a = p + c @ y @ c.conj().T
 
     defect = _absorption_defect(full, enclosure, a)
     if not defect <= 1e-9:  # also catches NaN
-        raise SingularTransientSystemError(
+        raise NumericalDegeneracyError(
             f"absorption operator fails its defining properties by {defect:.3e}"
         )
     a = hermitian_part(a)

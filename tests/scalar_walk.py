@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oqwalk.channel import WalkModel
-from oqwalk.errors import DegenerateStepError
+from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.structure import DiagonalState
 
 
@@ -54,13 +54,13 @@ def step(
     probs = branch_probabilities(model, state.state)
     total = probs.sum()
     if not total >= 1e-14:  # also rejects NaN
-        raise DegenerateStepError("all branch probabilities vanish")
+        raise NumericalDegeneracyError("all branch probabilities vanish")
     cdf = np.cumsum(probs / total)
     j = _pick(cdf, float(rng.random()))
     new = model.kraus[j] @ state.state @ model.kraus[j].conj().T
     tr = float(np.trace(new).real)
     if not tr >= 1e-14:
-        raise DegenerateStepError("selected branch has vanishing probability")
+        raise NumericalDegeneracyError("selected branch has vanishing probability")
     return TrajectoryState(
         position=state.position + model.shifts[j],
         state=new / tr,

@@ -20,11 +20,7 @@ from oqwalk.asymptotics import (
     rate_function,
 )
 from oqwalk.channel import ChannelView, WalkModel, perron
-from oqwalk.errors import (
-    DimensionMismatchError,
-    NotIrreducibleError,
-    NumericalDegeneracyError,
-)
+from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace
 from oqwalk.structure import DiagonalState, decompose
 from util import apply, basis_subspace, bernoulli_rate, random_irreducible_model
@@ -100,7 +96,7 @@ class TestPoisson:
 
     def test_degenerate_fixed_space_rejected(self, four_state, four_state_dec):
         block = plane_enclosure(four_state_dec)
-        with pytest.raises(NotIrreducibleError):
+        with pytest.raises(NumericalDegeneracyError, match="degenerate fixed space"):
             poisson_solve(four_state, block.subspace, [1.0])
 
 
@@ -275,10 +271,34 @@ class TestMixture:
         assert deltas[1][1] == pytest.approx([-1 / 3], abs=1e-9)
 
     def test_component_validation(self):
-        with pytest.raises(NumericalDegeneracyError):
+        with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
             GaussianComponent([0.0], [[-1.0]])
-        with pytest.raises(NumericalDegeneracyError):
+        with pytest.raises(ValueError, match="weights sum to 0.5, not 1"):
             MixtureModel(components=[(0.5, GaussianComponent([0.0], [[1.0]]))], horizon=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_component_refused(self, bad):
+        # each check is a comparison, which NaN would pass unseen
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianComponent([bad], [[1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianComponent([0.0], [[bad]])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MixtureModel(components=[(bad, GaussianComponent([0.0], [[1.0]]))], horizon=1)
+
+    def test_computed_component_failure_is_numerical(
+        self, monkeypatch, four_state, four_state_dec, balanced_recurrent
+    ):
+        # a covariance the library computed is no caller's value: exit 3, not 1
+        monkeypatch.setattr(asymptotics, "diffusion", lambda model, enclosure: -np.eye(1))
+        with pytest.raises(NumericalDegeneracyError, match="positive semidefinite"):
+            clt_mixture(four_state, four_state_dec, balanced_recurrent, 10)
+
+    def test_empty_or_negative_horizon_mixture_refused(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            MixtureModel(components=[], horizon=1)
+        with pytest.raises(ValueError, match="horizon -1 is negative"):
+            MixtureModel(components=[(1.0, GaussianComponent([0.0], [[1.0]]))], horizon=-1)
 
 
 class TestEnclosureIndependence:
@@ -552,8 +572,14 @@ class TestRateFunction:
 
     def test_points_of_another_dimension(self, commuting, commuting_dec):
         rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="points need 1 components"):
             rate_function(commuting, commuting_dec, rho, [[0.1, 0.2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_points_that_are_not_finite(self, commuting, commuting_dec, bad):
+        rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(ValueError, match="points must be finite"):
+            rate_function(commuting, commuting_dec, rho, [[0.1], [bad]])
 
     @pytest.mark.parametrize("gap,first", [(4e-16, True), (-4e-16, True), (1e-9, False)])
     def test_roundoff_tie_picks_first_block(self, monkeypatch, commuting, commuting_dec, gap, first):

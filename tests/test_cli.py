@@ -739,3 +739,107 @@ class TestInputErrors:
             "--ensemble", str(ens / f"ensemble_n{steps}.csv"), "--interval", "0.1,0.2",
         )
         assert "input error: --ensemble" in err
+
+
+class TestMalformedInputExitCodes:
+    """The exit-code matrix of malformed model, state, ensemble, prediction
+    and axis inputs: each exits with its documented code (2 for a model that
+    is not trace preserving, 1 for the rest) before any output is written."""
+
+    BASE, REQUIRED = TestInputErrors.BASE, TestInputErrors.REQUIRED
+
+    def run(self, tmp_path, capsys, code, command, *argv, base=BASE):
+        assert main([command, *base, *argv, "--out", str(tmp_path / "out")]) == code
+        assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    @staticmethod
+    def write_run(tmp_path, rows=("0,2", "0,-2"), steps=4, **spoil):
+        """A one-dimensional ensemble of ``steps`` steps, its manifest and a
+        one-component prediction at that horizon, with the prediction's
+        entries overridden by ``spoil``; returns the ensemble and prediction
+        paths."""
+        ens, pred = tmp_path / "ensemble_n4.csv", tmp_path / "mixture_n4.json"
+        ens.write_text("x0_1,x_1\n" + "\n".join(rows) + "\n")
+        (tmp_path / "manifest_n4.json").write_text(json.dumps({"steps": steps}))
+        component = {"weight": 1.0, "mean_rate": [0.0], "covariance": [[1.0]]}
+        prediction = {"horizon": steps, "components": [component]}
+        for key, value in spoil.items():
+            (prediction if key in prediction else component)[key] = value
+        pred.write_text(json.dumps(prediction))
+        return ens, pred
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_model_that_is_not_trace_preserving(self, tmp_path, capsys, command):
+        # validate exits 2 as well (TestValidate); the other commands used to
+        # run on, and simulate wrote an ensemble
+        data = json.loads(Path(fixture("two_state.json")).read_text())
+        data["kraus"] = (1.2 * np.array(data["kraus"])).tolist()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        base = ["--model", str(model), "--state", fixture("state_two_recurrent.json")]
+        err = self.run(tmp_path, capsys, 2, command, *self.REQUIRED[command], base=base)
+        assert "model validation failed: Kraus normalization off by" in err
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            ({"components": []}, "a mixture needs at least one component"),
+            ({"weight": float("nan")}, "weights must be finite"),
+            ({"covariance": [[float("nan")]]}, "mean rate and covariance must be finite"),
+            ({"mean_rate": [float("inf")]}, "mean rate and covariance must be finite"),
+            ({"horizon": -4}, "horizon -4 is negative"),
+        ],
+        ids=["no-components", "nan-weight", "nan-covariance", "inf-mean-rate", "negative-horizon"],
+    )
+    def test_prediction_that_is_not_a_finite_mixture(self, tmp_path, capsys, spoil, message):
+        ens, pred = self.write_run(tmp_path, **spoil)
+        argv = ["--ensemble", str(ens), "--prediction", str(pred)]
+        err = self.run(tmp_path, capsys, 1, "compare", *argv, base=[])
+        assert "input error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "rows, steps, message",
+        [
+            (("0,2", "0,nan"), 4, "positions must be finite integers"),
+            (("0,2", "0,0.5"), 4, "positions must be finite integers"),
+            (("0,2", "0,-2"), -4, "steps -4 is negative"),
+        ],
+        ids=["nan", "fraction", "negative-steps"],
+    )
+    @pytest.mark.parametrize("command", ["compare", "ldp"])
+    def test_ensemble_that_is_not_integer_positions(
+        self, tmp_path, capsys, command, rows, steps, message
+    ):
+        ens, pred = self.write_run(tmp_path, rows, steps)
+        if command == "compare":
+            argv, base = ["--ensemble", str(ens), "--prediction", str(pred)], []
+        else:
+            argv = ["--grid=0:0.2:0.1", "--ensemble", str(ens), "--interval", "0.1,0.2"]
+            base = self.BASE
+        err = self.run(tmp_path, capsys, 1, command, *argv, base=base)
+        assert "input error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "command, axis", [("clt", "nan"), ("ldp", "nan"), ("ldp", "inf"), ("compare", "nan")]
+    )
+    def test_axis_that_is_not_finite(self, tmp_path, capsys, command, axis):
+        argv, base = self.REQUIRED.get(command, []), self.BASE
+        if command == "compare":
+            ens, pred = self.write_run(tmp_path)
+            argv, base = ["--ensemble", str(ens), "--prediction", str(pred)], []
+        err = self.run(tmp_path, capsys, 1, command, *argv, "--axis", axis, base=base)
+        assert "input error: --axis" in err and "axis entries must be finite" in err
+
+    def test_sweep_points_that_overflow(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, 1, "ldp", "--grid=1e300:1e300:1", "--axis", "1e10")
+        assert "input error: --grid/--axis: the sweep points are not finite" in err
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_sites_of_two_lattice_dimensions(self, tmp_path, capsys, command):
+        half = channel.matrix_to_json(np.diag([0.5, 0.0]))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"entries": [{"site": s, "matrix": half} for s in ([0], [0, 1])]}))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        err = self.run(tmp_path, capsys, 1, command, *self.REQUIRED[command], base=base)
+        assert "site (0, 1): all sites must share one lattice dimension" in err

@@ -10,9 +10,9 @@ from oqwalk.empirics import (
     ldp_estimate,
     mixture_cdf,
     rescale,
+    rescaled_law,
     w1_distance,
 )
-from oqwalk.errors import EmptyEnsembleError, MissingAxisError
 from oqwalk.simulate import SimConfig, run
 from oqwalk.structure import DiagonalState
 
@@ -64,8 +64,13 @@ class TestRescale:
         model = planar_model()
         rho = DiagonalState.single_site(np.eye(1, dtype=complex), site=(0, 0))
         ens = run(model, rho, SimConfig(steps=4, trajectories=10, seed=2))
-        with pytest.raises(MissingAxisError):
+        with pytest.raises(ValueError, match="projection axis required"):
             rescale(ens)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_axis_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="axis entries must be finite"):
+            rescaled_law(np.zeros((3, 2)), 4, axis=[1.0, bad])
 
 
 class TestMixtureCdf:
@@ -233,5 +238,5 @@ class TestHistogram:
 
     def test_empty_rejected(self):
         emp = EmpiricalLaw1D(samples=np.array([]), horizon=1)
-        with pytest.raises(EmptyEnsembleError):
+        with pytest.raises(ValueError, match="cannot histogram an empty ensemble"):
             histogram(emp, bins=5)

@@ -9,7 +9,7 @@ import pytest
 from oqwalk import cli, models, simulate
 from oqwalk.channel import ChannelView, WalkModel
 from oqwalk.cli import main
-from oqwalk.errors import DegenerateStepError, MissingTrackError, NumericalDegeneracyError
+from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import orthonormal_complement
 from oqwalk.simulate import (
     SimConfig,
@@ -162,13 +162,13 @@ class TestStep:
 
     def test_degenerate_state_rejected(self, two_state):
         st = TrajectoryState(position=np.array([0]), state=np.zeros((2, 2), dtype=complex))
-        with pytest.raises(DegenerateStepError):
+        with pytest.raises(NumericalDegeneracyError, match="all branch probabilities vanish"):
             step(st, two_state, np.random.default_rng(5))
 
     def test_nan_state_rejected(self, two_state):
         nan = np.full((2, 2), np.nan, dtype=complex)
         st = TrajectoryState(position=np.array([0]), state=nan)
-        with pytest.raises(DegenerateStepError):
+        with pytest.raises(NumericalDegeneracyError, match="all branch probabilities vanish"):
             step(st, two_state, np.random.default_rng(5))
 
     def test_one_step_marginal(self, two_state):
@@ -412,21 +412,22 @@ class TestRun:
         # in-process run fails on the same chunk, so the messages must agree
         e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
         if error == "step":
-            expected, rho, tracks = DegenerateStepError, DiagonalState.single_site(e0), {}
-            u = 1.0 - 2.0**-53
+            rho, tracks, u = DiagonalState.single_site(e0), {}, 1.0 - 2.0**-53
+            expected = "selected branch has vanishing probability"
         else:
             # trajectories drawing 0.75 start on e_1, where the 4x track reads 4
-            expected, rho = NumericalDegeneracyError, DiagonalState({(0,): e0 / 2, (1,): e1 / 2})
+            rho = DiagonalState({(0,): e0 / 2, (1,): e1 / 2})
             tracks, u = {"big": 4 * e1}, 0.75
+            expected = r"track 'big' left \[0,1\]"
         cfg = SimConfig(steps=5, trajectories=8, seed=3)
         monkeypatch.setattr(simulate, "trajectory_rng", draws_from(4, u))
         monkeypatch.setattr(simulate, "CHUNK", 4)
         messages = []
         for workers in (1, 2):
             forked = force_workers(monkeypatch, workers)
-            with pytest.raises(expected) as caught:
+            with pytest.raises(NumericalDegeneracyError, match=expected) as caught:
                 run(cut_model(), rho, cfg, tracks=tracks)
-            assert type(caught.value) is expected
+            assert type(caught.value) is NumericalDegeneracyError
             assert len(forked) == workers - 1
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
@@ -460,13 +461,13 @@ class TestRun:
         def rng(seed, index):
             counts = [get() for get, _ in blas]
             if index >= 4:  # the child's slice reports its counts as an error
-                raise DegenerateStepError(str(counts))
+                raise NumericalDegeneracyError(str(counts))
             caller.append(counts)
             return FixedDraws(0.25)
 
         monkeypatch.setattr(simulate, "trajectory_rng", rng)
         forked = force_workers(monkeypatch, 2)
-        with pytest.raises(DegenerateStepError) as caught:
+        with pytest.raises(NumericalDegeneracyError) as caught:
             run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 8, 0))
         assert len(forked) == 1
         assert str(caught.value) == str([1] * len(blas))
@@ -522,7 +523,7 @@ class TestRun:
         assert probs[-1] == 0.0 and np.cumsum(probs / probs.sum())[-1] < u
 
         monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws(u))
-        with pytest.raises(DegenerateStepError):
+        with pytest.raises(NumericalDegeneracyError, match="selected branch has vanishing probability"):
             run(model, DiagonalState.single_site(e0), SimConfig(steps=3, trajectories=4, seed=0))
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -661,7 +662,7 @@ class TestClassification:
 
     def test_missing_track(self, four_state_module, transient_rho):
         ens = run(four_state_module, transient_rho, SimConfig(steps=5, trajectories=10, seed=7))
-        with pytest.raises(MissingTrackError):
+        with pytest.raises(KeyError, match="no track named 'edge'"):
             classify_absorption(ens, "edge")
 
 

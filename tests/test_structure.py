@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from oqwalk import asymptotics, channel, models, structure
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
-from oqwalk.errors import (
-    NotAnEnclosureError,
-    NumericalDegeneracyError,
-    SingularTransientSystemError,
-)
+from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace, orthonormal_complement
 from oqwalk.simulate import martingale_check
 from oqwalk.structure import (
@@ -311,7 +307,7 @@ class TestAbsorption:
             assert np.linalg.norm(a.matrix - recomposed) <= 1e-9
 
     def test_rejects_non_enclosure(self, four_state):
-        with pytest.raises(NotAnEnclosureError):
+        with pytest.raises(NumericalDegeneracyError, match="enclosure defect"):
             absorption(four_state, basis_subspace(4, [0]))
 
     @pytest.mark.parametrize("failure", ["defect", "solve"])
@@ -326,7 +322,8 @@ class TestAbsorption:
                 raise np.linalg.LinAlgError("Singular matrix")
 
             monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(SingularTransientSystemError):
+        match = "fails its defining properties" if failure == "defect" else "Singular matrix"
+        with pytest.raises(NumericalDegeneracyError, match=match):
             absorption(model, basis_subspace(4, [3]))
 
     def test_transient_compression_strictly_contractive(self, four_state):
@@ -547,6 +544,11 @@ class TestDiagonalState:
         data = {"entries": [{"site": [1], "matrix": half}, {"site": [1.0], "matrix": half}]}
         with pytest.raises(ValueError, match=r"site \(1,\) is given twice"):
             DiagonalState.from_json_dict(data)
+
+    def test_sites_share_one_lattice_dimension(self):
+        entries = {(0,): np.diag([0.5, 0.0]), (0, 1): np.diag([0.0, 0.5])}
+        with pytest.raises(ValueError, match=r"site \(0, 1\): all sites must share one lattice"):
+            DiagonalState(entries)
 
     def test_zero_trace_site_allowed(self):
         rho = DiagonalState({(0,): np.diag([1.0, 0.0]), (1,): np.zeros((2, 2))})

@@ -7,9 +7,10 @@ fail here instead. One more keeps the per-model memo behind its one
 accessor, ``WalkModel.cached``, two keep the superoperator of a channel view
 behind its one builder, ``ChannelView.matrix``, and one keeps
 ``scipy.stats``, which about doubles the import time, out of the package's
-imports. The last three keep the public surface small and true: the package
-exports only its modules, every CLI option is read by its command, and the
-README's command examples parse."""
+imports. The last four keep the public surface small and true: the package
+exports only its modules, every exception type but the base class is caught
+by name somewhere in the package, every CLI option is read by its command,
+and the README's command examples parse."""
 
 import argparse
 import ast
@@ -222,6 +223,26 @@ def test_package_exports_only_its_modules():
     for name, value in public.items():
         assert inspect.ismodule(value) and value.__name__ == f"oqwalk.{name}", name
     assert isinstance(oqwalk.__version__, str)
+
+
+def test_every_error_class_is_caught_by_name():
+    """Each exception type in ``oqwalk.errors`` but the base class is named
+    in an ``except`` clause of the package: a type that no caller tells apart
+    from its base is one name too many."""
+    from oqwalk import errors
+
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    caught = set()
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert "OQWalkError" in classes
+    assert classes - {"OQWalkError"} - caught == set()
 
 
 def _subcommands() -> dict:

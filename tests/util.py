@@ -3,7 +3,6 @@
 import numpy as np
 
 from oqwalk.channel import ChannelView, WalkModel
-from oqwalk.errors import DimensionMismatchError
 from oqwalk.linalg import Subspace
 
 
@@ -14,7 +13,7 @@ def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=complex)
     k = view.dim
     if sigma.shape != (k, k):
-        raise DimensionMismatchError(f"expected {k}x{k} operator, got {sigma.shape}")
+        raise ValueError(f"expected {k}x{k} operator, got {sigma.shape}")
     out = np.zeros((k, k), dtype=complex)
     for w, kr in zip(view.weights, view.compressed_kraus):
         out += w * (kr @ sigma @ kr.conj().T)
