@@ -11,7 +11,8 @@ vec(A X B) = (B^T kron A) vec(X), so the channel matrix is
 sum_i w_i kron(conj(L_i), L_i) and the dual channel matrix is its conjugate
 transpose. A view builds its superoperator once (``ChannelView.matrix``), and
 every Perron step, bordered solve and fixed-point analysis of that view reads
-the same matrix.
+the same matrix. ``perron`` takes both Perron vectors from the left and right
+eigenvectors of the dominant cluster in its one eigensolve.
 """
 
 from __future__ import annotations
@@ -257,12 +258,15 @@ class PerronData:
 def perron(view: ChannelView) -> PerronData:
     """Perron data of the deformed compressed channel.
 
-    Dense eigendecomposition of the superoperator; ties in modulus resolve
-    toward the real Perron root. When the dominant eigenspace is degenerate
-    (reducible domains, multiplicity blocks) a raw eigenvector need not be
-    positive; projecting the maximally mixed seed onto the dominant spectral
-    cluster then recovers a positive one, since that projection equals the
-    Cesaro limit of the normalized channel iterates.
+    One dense eigendecomposition of the superoperator; ties in modulus
+    resolve toward the real Perron root. Both Perron vectors come from the
+    left and right eigenvectors L_C, R_C of its dominant cluster: with
+    G = L_C* R_C, the maximally mixed seed s gives the state R_C G^-1 L_C* s
+    and the dual weight L_C G^-* R_C* s. For a semisimple cluster (reducible
+    domains, multiplicity blocks) that state is the Cesaro limit of the
+    normalized channel iterates, so it is positive where a raw eigenvector
+    need not be. A singular G (a defective cluster, as at a crossing of two
+    roots) or a vector that is not positive raises NoConvergenceError.
     """
     if view.dim == 0:
         raise NoConvergenceError("empty compression domain")
@@ -271,63 +275,38 @@ def perron(view: ChannelView) -> PerronData:
         vals, left, right = scipy.linalg.eig(m, left=True, right=True)
     except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN
         raise NoConvergenceError(str(exc)) from exc
-    idx = _dominant_index(vals)
-    lam = vals[idx]
+    lam = vals[_dominant_index(vals)]
     if abs(lam.imag) > 1e-9 * max(abs(lam), 1.0) or lam.real <= 0:
         raise NoConvergenceError(f"dominant eigenvalue {lam} is not a positive real")
     value = float(lam.real)
 
-    tau = _positive_eigenvector(m, value, vals, right)
-    if tau is None:
-        raise NoConvergenceError("no positive dominant eigenvector found")
-    tau = tau / float(np.trace(tau).real)
-
-    # left eigenvectors of m are eigenvectors of m* for the conjugate values
-    w = _positive_eigenvector(m.conj().T, value, np.conj(vals), left)
-    if w is None:
-        raise NoConvergenceError("no positive dominant dual eigenvector found")
-    w = w / np.linalg.norm(w)
-
+    cluster = np.abs(vals - value) <= 1e-8 * max(abs(value), 1.0)
+    left, right = left[:, cluster], right[:, cluster]
+    seed = vec(np.eye(view.dim, dtype=complex) / view.dim)
+    gram = left.conj().T @ right
+    try:
+        tau = right @ np.linalg.solve(gram, left.conj().T @ seed)
+        w = left @ np.linalg.solve(gram.conj().T, right.conj().T @ seed)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError("dominant spectral cluster is defective") from exc
+    tau = _positive_eigenvector(m, value, tau, "eigenvector")
+    w = _positive_eigenvector(m.conj().T, value, w, "dual eigenvector")
+    tau = tau / float(np.trace(tau).real)  # unit trace; w keeps unit norm
     return PerronData(value=value, state=tau, dual_weight=w, eigenvalues=vals)
 
 
-def _positive_eigenvector(m, value, vals, vecs):
-    """PSD eigenvector of m for the (real, dominant) eigenvalue ``value``."""
-    k = int(round(np.sqrt(m.shape[0])))
-    scale = max(np.linalg.norm(m), 1.0)
-    cluster = np.abs(vals - value) <= 1e-8 * max(abs(value), 1.0)
-
-    def accept(t):
-        t = hermitian_part(t)
-        norm = np.linalg.norm(t)
-        if norm < 1e-12:
-            return None
+def _positive_eigenvector(m, value, x, name):
+    """The vectorized ``x`` as a unit-norm Hermitian matrix, checked to be a
+    PSD eigenvector of m for ``value``; NoConvergenceError otherwise."""
+    t = hermitian_part(unvec(x))
+    norm = np.linalg.norm(t)
+    if norm >= 1e-12:
         t = t / norm
-        if np.linalg.norm(unvec(m @ vec(t)) - value * t) > 1e-9 * scale:
-            return None
-        if float(np.min(np.linalg.eigvalsh(t))) < -TOL_PSD:
-            return None
-        if float(np.trace(t).real) <= TOL_PSD:
-            return None
-        return t
-
-    # Spectral projection of the maximally mixed seed onto the dominant
-    # cluster; exact for semisimple peripheral spectrum.
-    try:
-        coeff = np.linalg.solve(vecs, vec(np.eye(k, dtype=complex) / k))
-        coeff[~cluster] = 0.0
-        fixed = accept(unvec(vecs @ coeff))
-        if fixed is not None:
-            return fixed
-    except np.linalg.LinAlgError:
-        pass
-
-    # Phase-fixed raw eigenvectors as a fallback.
-    for j in np.flatnonzero(cluster):
-        t = unvec(vecs[:, j])
-        tr = np.trace(t)
-        if abs(tr) > 1e-10 * np.linalg.norm(t):
-            fixed = accept(t * np.exp(-1j * np.angle(tr)))
-            if fixed is not None:
-                return fixed
-    return None
+        scale = max(np.linalg.norm(m), 1.0)
+        if (
+            np.linalg.norm(unvec(m @ vec(t)) - value * t) <= 1e-9 * scale
+            and float(np.min(np.linalg.eigvalsh(t))) >= -TOL_PSD
+            and float(np.trace(t).real) > TOL_PSD
+        ):
+            return t
+    raise NoConvergenceError(f"no positive dominant {name} found")

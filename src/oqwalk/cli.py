@@ -71,6 +71,16 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _horizon(name: str, value) -> int:
+    """The horizon ``value`` that a file gives as ``name``; one that is not
+    a JSON integer (a bool is not) or is negative is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} {json.dumps(value)} is not an integer")
+    if value < 0:
+        raise ValueError(f"{name} {value} is negative")
+    return value
+
+
 def _seed(text: str) -> int:
     """argparse type of ``simulate --seed``: the trajectory streams take
     seeds >= 0."""
@@ -232,7 +242,7 @@ def _mixture_from_payload(data: dict):
         )
         for item in data["components"]
     ]
-    return asymptotics.MixtureModel(components=comps, horizon=int(data["horizon"]))
+    return asymptotics.MixtureModel(comps, _horizon("horizon", data["horizon"]))
 
 
 def cmd_clt(args) -> int:
@@ -325,19 +335,15 @@ def _manifest(model: WalkModel, ensemble: simulate.TrajectoryEnsemble, wall_time
     }
 
 
-def _read_ensemble(path: str, manifest: str | None = None) -> tuple[int, np.ndarray]:
+def _read_ensemble(path: str) -> tuple[int, np.ndarray]:
     """Horizon and (N, d) displacements of an ``ensemble_n<n>.csv`` that
-    ``simulate`` wrote; the horizon comes from ``manifest``, by default the
-    ``manifest_n<n>.json`` written beside it. A negative horizon, and a
-    position that is not a finite integer, is an InputError."""
-    if not manifest:
-        csv_path = Path(path)
-        name = csv_path.name.replace("ensemble_", "manifest_")
-        manifest = csv_path.with_name(name).with_suffix(".json")
+    ``simulate`` wrote, the horizon read from the ``manifest_n<n>.json``
+    beside it; a bad horizon (see ``_horizon``), or a position that is not
+    a finite integer, is an InputError."""
+    csv_path = Path(path)
+    manifest = csv_path.with_name(csv_path.stem.replace("ensemble_", "manifest_") + ".json")
     with _parsing(manifest), open(manifest) as fh:
-        steps = int(json.load(fh)["steps"])
-        if steps < 0:
-            raise ValueError(f"steps {steps} is negative")
+        steps = _horizon("steps", json.load(fh)["steps"])
     with _parsing(path):
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
@@ -357,11 +363,9 @@ def cmd_compare(args) -> int:
     predictions = args.prediction.split(",")
     if len(ensembles) != len(predictions):
         raise InputError("need one prediction file per ensemble file")
-    if args.manifest and len(ensembles) > 1:
-        raise InputError("--manifest gives the horizon of one ensemble; pass one")
-    out_rows = []
+    runs = []
     for ens_path, pred_path in zip(ensembles, predictions):
-        n, disp = _read_ensemble(ens_path, args.manifest)
+        n, disp = _read_ensemble(ens_path)
         with _parsing(pred_path), open(pred_path) as fh:
             mixture = _mixture_from_payload(json.load(fh))
         if n != mixture.horizon:
@@ -373,7 +377,9 @@ def cmd_compare(args) -> int:
                 f"{pred_path}: prediction lattice dimension does not match the "
                 f"{disp.shape[1]}-dimensional ensemble {ens_path}"
             )
-        axis = _parse_axis(args.axis, disp.shape[1])
+        runs.append((n, disp, mixture, _parse_axis(args.axis, disp.shape[1])))
+    out_rows = []
+    for n, disp, mixture, axis in runs:
         law = empirics.rescaled_law(disp, n, axis)
         report = empirics.w1_distance(law, mixture, axis)
         out_rows.append([str(n), str(law.count), _fmt(report.w1), _fmt(report.ks)])
@@ -482,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="W1/KS between ensembles and predictions")
     p.add_argument("--ensemble", required=True, help="ensemble CSV file(s)")
     p.add_argument("--prediction", required=True, help="mixture JSON file(s)")
-    p.add_argument("--manifest", default=None)
     p.add_argument("--axis", default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)

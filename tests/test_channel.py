@@ -4,6 +4,7 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,13 @@ from oqwalk.channel import (
 )
 from oqwalk.errors import NotTracePreservingError
 from oqwalk.linalg import Subspace
-from util import apply, basis_subspace, random_densities, random_walk_model
+from util import (
+    apply,
+    basis_subspace,
+    random_densities,
+    random_irreducible_model,
+    random_walk_model,
+)
 
 
 class TestValidate:
@@ -258,6 +265,49 @@ class TestPerron:
             expected = 0.3 * np.exp(-u) + 0.7 * np.exp(u)
             assert pd.value == pytest.approx(expected, abs=1e-11)
             assert float(np.min(np.linalg.eigvalsh(pd.state))) >= -1e-10
+            # T_u is lam times the identity there, so the projection of the
+            # maximally mixed seed is the seed itself
+            np.testing.assert_allclose(pd.state, np.eye(2) / 2, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                pd.dual_weight, np.eye(2) / np.sqrt(2), rtol=0, atol=1e-12
+            )
+
+    def test_projection_is_the_limit_of_iterates(self, four_state):
+        # fixed space of dimension 5, next eigenvalue modulus 0.9856: both
+        # Perron vectors are the limits of the iterates of the seeds
+        view = ChannelView.full(four_state)
+        power = np.linalg.matrix_power(to_matrix(view), 4096)
+        state = unvec(power @ vec(np.eye(4) / 4))
+        dual = unvec(power.conj().T @ vec(np.eye(4)))
+        pd = perron(view)
+        np.testing.assert_allclose(
+            pd.state, state / np.trace(state).real, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            pd.dual_weight, dual / np.linalg.norm(dual), rtol=0, atol=1e-12
+        )
+
+    def test_eigensolve_budget(self, monkeypatch):
+        # one eigensolve gives both Perron vectors: the projection solves
+        # only the cluster's c x c Gram system (c = 1 here), never one of
+        # the k^2 x k^2 superoperator's size
+        view = ChannelView.full(random_irreducible_model(3, local_dim=3), u=[0.3])
+        eigs, solved = [], []
+        eig, solve = scipy.linalg.eig, np.linalg.solve
+
+        def counting_eig(a, *args, **kwargs):
+            eigs.append(np.shape(a))
+            return eig(a, *args, **kwargs)
+
+        def counting_solve(a, b):
+            solved.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        perron(view)
+        assert eigs == [(9, 9)]
+        assert all(shape == (1, 1) for shape in solved)
 
     def test_log_convexity_along_lines(self, two_state, four_state):
         rng = np.random.default_rng(8)

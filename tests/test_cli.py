@@ -440,29 +440,6 @@ class TestCompare:
         assert rc == 1
         assert "lattice dimension" in capsys.readouterr().err
 
-    def test_manifest_with_several_ensembles(self, tmp_path, monkeypatch, capsys):
-        # one manifest's horizon would rescale the 60-step ensemble by sqrt(30)
-        self._produce(tmp_path, steps="30,60")
-        opened = []
-        real_open = open
-
-        def spy(file, *args, **kwargs):
-            opened.append(str(file))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", spy)
-        rc = main([
-            "compare",
-            "--ensemble", f"{tmp_path}/ensemble_n30.csv,{tmp_path}/ensemble_n60.csv",
-            "--prediction", f"{tmp_path}/mixture_n30.json,{tmp_path}/mixture_n30.json",
-            "--manifest", str(tmp_path / "manifest_n30.json"),
-            "--out", str(tmp_path),
-        ])
-        assert rc == 1
-        assert "--manifest" in capsys.readouterr().err
-        assert not [path for path in opened if path.startswith(str(tmp_path))]
-        assert not (tmp_path / "distances.csv").exists()
-
     def test_ensemble_without_trajectories_is_input_error(self, tmp_path, capsys):
         self._produce(tmp_path)
         path = tmp_path / "ensemble_n30.csv"
@@ -789,8 +766,18 @@ class TestMalformedInputExitCodes:
             ({"covariance": [[float("nan")]]}, "mean rate and covariance must be finite"),
             ({"mean_rate": [float("inf")]}, "mean rate and covariance must be finite"),
             ({"horizon": -4}, "horizon -4 is negative"),
+            ({"horizon": 4.7}, "horizon 4.7 is not an integer"),
+            ({"horizon": True}, "horizon true is not an integer"),
         ],
-        ids=["no-components", "nan-weight", "nan-covariance", "inf-mean-rate", "negative-horizon"],
+        ids=[
+            "no-components",
+            "nan-weight",
+            "nan-covariance",
+            "inf-mean-rate",
+            "negative-horizon",
+            "fractional-horizon",
+            "bool-horizon",
+        ],
     )
     def test_prediction_that_is_not_a_finite_mixture(self, tmp_path, capsys, spoil, message):
         ens, pred = self.write_run(tmp_path, **spoil)
@@ -804,8 +791,13 @@ class TestMalformedInputExitCodes:
             (("0,2", "0,nan"), 4, "positions must be finite integers"),
             (("0,2", "0,0.5"), 4, "positions must be finite integers"),
             (("0,2", "0,-2"), -4, "steps -4 is negative"),
+            (("0,2", "0,-2"), 4.9, "steps 4.9 is not an integer"),
+            (("0,2", "0,-2"), True, "steps true is not an integer"),
+            (("0,2", "0,-2"), "4", 'steps "4" is not an integer'),
         ],
-        ids=["nan", "fraction", "negative-steps"],
+        ids=[
+            "nan", "fraction", "negative-steps", "fractional-steps", "bool-steps", "string-steps"
+        ],
     )
     @pytest.mark.parametrize("command", ["compare", "ldp"])
     def test_ensemble_that_is_not_integer_positions(
@@ -819,6 +811,18 @@ class TestMalformedInputExitCodes:
             base = self.BASE
         err = self.run(tmp_path, capsys, 1, command, *argv, base=base)
         assert "input error" in err and message in err
+
+    def test_second_ensemble_refused_before_any_distance(self, tmp_path, capsys):
+        # compare reads every ensemble and prediction before it prints or
+        # writes the first distance
+        (tmp_path / "good").mkdir()
+        ens, pred = self.write_run(tmp_path / "good")
+        bad_ens, bad_pred = self.write_run(tmp_path, steps=-4)
+        argv = ["--ensemble", f"{ens},{bad_ens}", "--prediction", f"{pred},{bad_pred}"]
+        assert main(["compare", *argv, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "steps -4 is negative" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, axis", [("clt", "nan"), ("ldp", "nan"), ("ldp", "inf"), ("compare", "nan")]
