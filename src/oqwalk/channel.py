@@ -289,20 +289,22 @@ def perron(view: ChannelView) -> PerronData:
         w = left @ np.linalg.solve(gram.conj().T, right.conj().T @ seed)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError("dominant spectral cluster is defective") from exc
-    tau = _positive_eigenvector(m, value, tau, "eigenvector")
-    w = _positive_eigenvector(m.conj().T, value, w, "dual eigenvector")
+    # the residual scale; m and its adjoint have the same Frobenius norm, bit for bit
+    scale = max(np.linalg.norm(m), 1.0)
+    tau = _positive_eigenvector(m, value, tau, scale, "eigenvector")
+    w = _positive_eigenvector(m.conj().T, value, w, scale, "dual eigenvector")
     tau = tau / float(np.trace(tau).real)  # unit trace; w keeps unit norm
     return PerronData(value=value, state=tau, dual_weight=w, eigenvalues=vals)
 
 
-def _positive_eigenvector(m, value, x, name):
+def _positive_eigenvector(m, value, x, scale, name):
     """The vectorized ``x`` as a unit-norm Hermitian matrix, checked to be a
-    PSD eigenvector of m for ``value``; NoConvergenceError otherwise."""
+    PSD eigenvector of m for ``value`` with a residual of at most 1e-9 *
+    ``scale``; NoConvergenceError otherwise."""
     t = hermitian_part(unvec(x))
     norm = np.linalg.norm(t)
     if norm >= 1e-12:
         t = t / norm
-        scale = max(np.linalg.norm(m), 1.0)
         if (
             np.linalg.norm(unvec(m @ vec(t)) - value * t) <= 1e-9 * scale
             and float(np.min(np.linalg.eigvalsh(t))) >= -TOL_PSD

@@ -33,14 +33,16 @@ the caller with its type and message, and every child is reaped before
 Runs of fewer than 2 * ``PARALLEL_MIN_SLICE`` trajectories therefore keep
 W = 1 and never fork. Each slice pays the per-step numpy-call cost of its
 chunk again, and the fork and join cost about 11 ms in a 100-200 MB process.
-On a 2-core Xeon, W = 2 lost to W = 1 at 256 to 1024 trajectories at 50 to
-600 steps and won from 2048 trajectories on, at 1 to 600 steps, so the
-trajectory count decides, not the step count. Platforms without ``os.fork``
-and processes in which other Python threads run keep W = 1 too, and
-``taskset -c 0`` gives a serial run. While the slices run, every OpenBLAS
-the process has loaded is held to one thread, and the children inherit
-that: two processes with two BLAS threads each made a 16384 x 600 run on two
-cores 2.7x slower than one process. The caller's thread counts are restored
+On a 2-core Xeon (one BLAS thread, certify_h4's start), W = 2 took 1.05-1.34x
+the time of W = 1 at 512 trajectories and 50 steps and 0.74-0.79x at 600
+steps; at 1024 trajectories 0.84-1.07x at 50 steps and 0.63-0.82x at 600,
+and at 2048 and 4096 0.52-1.01x and 0.58-0.76x. So from slices of 512
+trajectories on a fork is about even at 50 steps and wins at 600.
+Platforms without ``os.fork`` and processes in which other Python threads
+run keep W = 1 too, and ``taskset -c 0`` gives a serial run. While the
+slices run, every OpenBLAS the process has loaded is held to one thread, and
+the children inherit that: two processes with two BLAS threads each made a
+16384 x 600 run on two cores 2.7x slower than one process. The caller's thread counts are restored
 afterwards; other BLAS libraries are left as they are.
 
 State forms: a trajectory's state rho_n = F_n F_n* keeps the rank r of its
@@ -53,12 +55,14 @@ reproduces its site matrix to ``FACTOR_TOL`` in each entry; otherwise it
 steps densities. The switch is measured (one BLAS thread, 2-core Xeon, run
 time per trajectory-step): at v r <= h factors were faster at every (h, v, r)
 tried on random models, h from 2 to 16 and v = 2 and 4, and from v r = 1.5 h
-on densities mostly were. At h = 4 and v = 2 factors took 0.58x the time of
-densities from rank 1 (``certify_h4``'s start), 1.15x from rank 3 (criterion
-07's start) and 1.35x from full rank; full-rank starts took 1.25x at h = 8
-and 1.05x at h = 16. Both forms share the chunk loop (streams, site draw,
-branch choice, positions and records); they differ only in how they get the
-branch probabilities, apply the chosen branch and read a track:
+on densities mostly were. At h = 4 and v = 2 on four_state_p3_sixth, 4096 x
+600 steps, factors took 0.32-0.41x the time of densities from rank 1
+(``certify_h4``'s start), 0.83x from rank 2, 1.55x from rank 3 (criterion
+07's start) and 1.60x from full rank; full-rank starts took 1.25x at h = 8
+and 1.05x at h = 16 (measured before the branch choice read columns). Both
+forms share the chunk loop (streams, site draw, branch choice, positions and
+records); they differ only in how they get the branch probabilities, apply
+the chosen branch and read a track:
 
 - ``_Densities`` precomputes the effects M_j = L_j* L_j once per run, so the
   probabilities p_j = Re<M_j, rho> of a whole chunk are one row-stacked
@@ -81,6 +85,23 @@ than the same rows inside a longer one.
 
 Positions agree between the forms bit for bit wherever no uniform falls
 within roundoff of a branch boundary; track values agree to about 1e-14.
+
+Branch choice (``_choose_branches``): the (c, v) probabilities of a chunk
+(c states, v branches) are clipped at 0 into a contiguous branch-major
+(v, c) copy, so that every later pass is a whole-column operation; a loop of
+O(v) such operations costs less than one row-wise numpy call over (c, v)
+when v is small. Each state's total is the sum of its column entries, and a
+state picks the number of j < v - 1 whose partial sum q_0 + ... + q_j,
+q_j = p_j / total, lies below its uniform: the first branch whose cumulative
+weight reaches the uniform, and the last branch where rounding leaves every
+partial sum below it. These are the additions, in the order, of numpy's
+row-wise ``cumsum`` and, for v < 8, of its row ``sum``: numpy adds a row of
+fewer than 8 entries from left to right, but a longer one in 8 interleaved
+lanes, so for v >= 8 the totals come from numpy's row sum of a row-major
+copy (``_branch_totals``). The choice is therefore the same bits as the
+row-wise form ``min(sum(cumsum(p / total) < u), v - 1)``. A total below
+1e-14 or not a number, and a chosen weight below 1e-14 or not a number,
+raise NumericalDegeneracyError.
 
 Uniforms are drawn in blocks of ``DRAW_BLOCK`` steps from the chunk's
 generators; consecutive draws continue the same stream, so blocking changes
@@ -110,7 +131,7 @@ REHERMITIZE_EVERY = 50
 # largest entry by which F F* may miss a normalized site matrix on the factor path
 FACTOR_TOL = 1e-14
 # fewest trajectories a slice of a forked run steps (see the module text)
-PARALLEL_MIN_SLICE = 1024
+PARALLEL_MIN_SLICE = 512
 # final absorption-track values that count as absorbed / as escaped
 ABSORBED_HI, ABSORBED_LO = 0.99, 0.01
 
@@ -271,7 +292,7 @@ class _Factors:
     @staticmethod
     def take(states, products, probs, chosen):
         rows = np.arange(len(chosen))
-        return products[rows, :, chosen], probs[rows, chosen]
+        return products[rows, :, chosen], probs[chosen, rows]
 
     @staticmethod
     def normalize(states, weights, n):
@@ -284,6 +305,42 @@ class _Factors:
         c, r, h = states.shape
         applied = _rows_times(states.reshape(c * r, h), op.T).view(float).reshape(c, -1)
         return np.einsum("nk,nk->n", states.view(float).reshape(c, -1), applied)
+
+
+def _branch_totals(probs: np.ndarray) -> np.ndarray:
+    """Sums over the branches of branch-major (v, c) probabilities, each the
+    bits that numpy's row sum of the (c, v) transpose gives: numpy adds a row
+    of fewer than 8 entries from left to right, as this loop over whole
+    columns does, and a longer row in 8 interleaved lanes, so longer rows are
+    summed by numpy itself."""
+    if len(probs) >= 8:
+        return probs.T.copy().sum(axis=1)
+    totals = probs[0].copy()
+    for p in probs[1:]:
+        totals += p
+    return totals
+
+
+def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
+    """Each state's branch: the fewest j < v - 1 whose normalized partial sum
+    q_0 + ... + q_j, q_j = p_j / total, is not below the state's uniform, and
+    v - 1 where there is none (see the module text).
+
+    ``probs`` holds the (c, v) branch probabilities in any layout; they are
+    clipped at 0 into a contiguous branch-major (v, c) copy, which is
+    returned with the chosen branches. Raises NumericalDegeneracyError where
+    a state's total is below 1e-14 or not a number.
+    """
+    probs = np.clip(probs.T, 0.0, None, out=np.empty(probs.shape[::-1]))
+    totals = _branch_totals(probs)
+    if not totals.min() >= 1e-14:  # also true on NaN
+        raise NumericalDegeneracyError("all branch probabilities vanish")
+    chosen = np.zeros(len(uniforms), dtype=np.intp)
+    cdf = np.zeros(len(uniforms))
+    for p in probs[:-1]:
+        cdf += p / totals
+        chosen += cdf < uniforms
+    return probs, chosen
 
 
 def _factors_pay(num_kraus: int, rank: int, h: int) -> bool:
@@ -506,16 +563,9 @@ def run(
                 for g, row in zip(rngs, uniforms):
                     g.random(out=row)
             probs, products = form.branches(states)
-            np.clip(probs, 0.0, None, out=probs)
-            totals = probs.sum(axis=1)
-            if not np.all(totals >= 1e-14):
-                raise NumericalDegeneracyError("all branch probabilities vanish")
-            cdf = np.cumsum(probs / totals[:, None], axis=1)
-            chosen = np.minimum(
-                (cdf < uniforms[:, k, None]).sum(axis=1), num_kraus - 1
-            )
+            probs, chosen = _choose_branches(probs, uniforms[:, k])
             states, weights = form.take(states, products, probs, chosen)
-            if not np.all(weights >= 1e-14):
+            if not weights.min() >= 1e-14:  # also true on NaN
                 raise NumericalDegeneracyError("selected branch has vanishing probability")
             states = form.normalize(states, weights, n)
             positions += shifts[chosen]

@@ -20,7 +20,14 @@ from oqwalk.simulate import (
 )
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
 from scalar_walk import TrajectoryState, branch_probabilities, sample_initial, step
-from util import apply, basis_subspace, random_densities, random_density, random_walk_model
+from util import (
+    apply,
+    basis_subspace,
+    random_densities,
+    random_density,
+    random_irreducible_model,
+    random_walk_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +566,114 @@ class TestRun:
         )
         track = ens.y_tracks["edge"]
         assert track.min() >= -1e-9 and track.max() <= 1 + 1e-9
+
+
+def ensemble_digest(ens) -> str:
+    """sha256 of every array a run returns: positions, tracks in id order and
+    horizon cuts in horizon order."""
+    digest = hashlib.sha256()
+    arrays = [ens.initial_positions, ens.final_positions]
+    arrays += [ens.y_tracks[t] for t in sorted(ens.y_tracks)]
+    arrays += [ens.horizon_positions[n] for n in sorted(ens.horizon_positions)]
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    return digest.hexdigest()
+
+
+def row_choice(probs, u):
+    """The branch choice written row-wise over (c, v) arrays: the reference
+    that the column form must reproduce bit for bit. Returns the clipped
+    probabilities, their row totals and the chosen branches."""
+    p = np.clip(probs, 0.0, None)
+    totals = p.sum(axis=1)
+    if not np.all(totals >= 1e-14):
+        raise NumericalDegeneracyError("all branch probabilities vanish")
+    cdf = np.cumsum(p / totals[:, None], axis=1)
+    return p, totals, np.minimum((cdf < u[:, None]).sum(axis=1), p.shape[1] - 1)
+
+
+def branch_rows(rng, c, v, layout):
+    """(c, v) branch probabilities over several magnitudes, some entries a
+    roundoff below 0 and the middle branch v // 2 (the last at v = 2) empty
+    in the first 50 rows, as a contiguous array or as the real view of a
+    complex one (the density form's layout). Every row keeps a positive
+    entry outside the middle branch."""
+    p = rng.random((c, v)) * 10.0 ** rng.integers(-3, 4, size=(c, 1))
+    negative = rng.random((c, v)) < 0.1
+    negative[np.arange(c), (v // 2 + rng.integers(1, v, c)) % v] = False
+    p[negative] = -1e-17
+    p[:50, v // 2] = 0.0
+    if layout == "rows":
+        return p
+    return (p + 1j * rng.random((c, v))).real
+
+
+class TestBranchChoice:
+    @pytest.mark.parametrize("layout", ["rows", "real-view"])
+    @pytest.mark.parametrize("v", [2, 3, 7, 8, 9, 17])
+    def test_matches_row_expression(self, v, layout):
+        rng = np.random.default_rng(200 + v)
+        c = 1000
+        probs = branch_rows(rng, c, v, layout)
+        u = rng.random(c)
+        clipped, totals, _ = row_choice(probs, u)
+        cdf = np.cumsum(clipped / totals[:, None], axis=1)
+        rows = np.arange(50, 250)
+        u[rows] = cdf[rows, rows % v]  # a uniform on a branch boundary
+        u[250:300] = 1.0 - 2.0**-53  # beyond the last boundary when it rounds below 1
+        clipped, totals, expected = row_choice(probs, u)
+
+        weights, chosen = simulate._choose_branches(probs, u)
+        assert weights.shape == (v, c) and weights.flags.c_contiguous
+        assert np.array_equal(weights, clipped.T)
+        assert np.array_equal(simulate._branch_totals(weights), totals)
+        assert chosen.dtype == expected.dtype and np.array_equal(chosen, expected)
+        assert np.any(chosen != expected[0])  # the rows do not all pick one branch
+        for i in (0, 60, 260, c - 1):  # a chunk of one row picks the same branch
+            one_weights, one = simulate._choose_branches(probs[i : i + 1], u[i : i + 1])
+            assert np.array_equal(one_weights, clipped[i : i + 1].T)
+            assert np.array_equal(one, expected[i : i + 1])
+
+    @pytest.mark.parametrize("v", [2, 9])
+    @pytest.mark.parametrize("row", ["nan", "zero", "negative"])
+    def test_vanishing_rows_raise(self, v, row):
+        rng = np.random.default_rng(v)
+        probs = branch_rows(rng, 20, v, "rows")
+        probs[7] = {"nan": np.nan, "zero": 0.0, "negative": -1e-17}[row]
+        with pytest.raises(NumericalDegeneracyError, match="all branch probabilities vanish"):
+            row_choice(probs, rng.random(20))
+        with pytest.raises(NumericalDegeneracyError, match="all branch probabilities vanish"):
+            simulate._choose_branches(probs, rng.random(20))
+
+    def test_nine_branch_density_digest(self, monkeypatch):
+        # both digests were pinned while the branch choice still made row-wise
+        # passes over (c, v) arrays; the column form must keep every bit
+        model = random_irreducible_model(19, 3, shifts=[[k] for k in range(-4, 5)])
+        rng = np.random.default_rng(19)
+        rho = DiagonalState({(0,): random_density(rng, 3) / 2, (2,): random_density(rng, 3) / 2})
+        assert simulate._site_factors(rho.normalized_sites()[2], 9) is None
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
+        cfg = SimConfig(steps=70, trajectories=150, seed=5, y_stride=10, horizons=(25,))
+        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        ens = run(model, rho, cfg, tracks={"p": proj})
+        assert ensemble_digest(ens) == (
+            "04f574558fe23dc81363c94f4f8cb26038b439ae1b17893559aa4fc96ec6da0b"
+        )
+
+    def test_three_branch_factor_digest(self, monkeypatch):
+        model = random_irreducible_model(23, 4, shifts=[[-1], [0], [2]])
+        rng = np.random.default_rng(23)
+        rho = DiagonalState.single_site(random_density(rng, 4, 1))
+        assert simulate._site_factors(rho.normalized_sites()[2], 3).shape == (1, 1, 4)
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
+        cfg = SimConfig(steps=70, trajectories=150, seed=6, y_stride=10, horizons=(33,))
+        proj = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        ens = run(model, rho, cfg, tracks={"p": proj})
+        assert ensemble_digest(ens) == (
+            "2b1f7f100996196df1eb3aa8c74694e96e9b74a48bbf5bc6a4b1a9fb749ef52f"
+        )
 
 
 class TestApplyBranches:

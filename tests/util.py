@@ -37,9 +37,13 @@ def basis_subspace(ambient: int, indices) -> Subspace:
     return Subspace(ambient, np.eye(ambient, dtype=complex)[:, list(indices)])
 
 
-def random_walk_model(rng, local_dim: int, lattice_dim: int = 1) -> WalkModel:
-    """Random trace-preserving walk from a Haar-ish isometry split into blocks."""
-    if lattice_dim == 1:
+def random_walk_model(rng, local_dim: int, lattice_dim: int = 1, shifts=None) -> WalkModel:
+    """Random trace-preserving walk from a Haar-ish isometry split into blocks,
+    one block per row of ``shifts`` (by default the unit steps along each of
+    ``lattice_dim`` axes and back)."""
+    if shifts is not None:
+        shifts = np.asarray(shifts)
+    elif lattice_dim == 1:
         shifts = np.array([[-1], [1]])
     else:
         eye = np.eye(lattice_dim, dtype=int)
@@ -53,13 +57,15 @@ def random_walk_model(rng, local_dim: int, lattice_dim: int = 1) -> WalkModel:
     return WalkModel(shifts=shifts, kraus=kraus)
 
 
-def random_irreducible_model(seed: int, local_dim: int, lattice_dim: int = 1) -> WalkModel:
+def random_irreducible_model(
+    seed: int, local_dim: int, lattice_dim: int = 1, shifts=None
+) -> WalkModel:
     """Random walk model whose local channel has a one-dimensional fixed space."""
     from oqwalk.asymptotics import fixed_space_dim
 
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        model = random_walk_model(rng, local_dim, lattice_dim)
+        model = random_walk_model(rng, local_dim, lattice_dim, shifts)
         if fixed_space_dim(model, Subspace.full(local_dim)) == 1:
             return model
     raise RuntimeError("could not draw an irreducible model")
