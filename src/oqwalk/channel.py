@@ -18,6 +18,7 @@ eigenvectors of the dominant cluster in its one eigensolve.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +46,21 @@ def matrix_from_json(data) -> np.ndarray:
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
     return pairs.view(complex)[..., 0]
+
+
+def lattice_coords(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of lattice coordinates: each must be an
+    integer, or a float with an integral value, that fits in int64. A bool,
+    a string or anything else is a ValueError about ``what``."""
+    values = np.asarray(values, dtype=object)
+    for c in values.flat:
+        if (
+            isinstance(c, (bool, np.bool_))
+            or not isinstance(c, numbers.Real)
+            or not (-(2**63) <= c < 2**63 and float(c).is_integer())
+        ):
+            raise ValueError(f"{what} must be integers in the int64 range, got {c!r}")
+    return values.astype(np.int64)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -76,7 +92,7 @@ class WalkModel:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shifts = np.atleast_2d(np.array(self.shifts, dtype=int))
+        shifts = np.atleast_2d(lattice_coords(self.shifts, "shift coordinates"))
         kraus = np.array(self.kraus, dtype=complex)
         if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
             raise ValueError("kraus must be a stack of square matrices")
@@ -118,10 +134,6 @@ class WalkModel:
     def local_dim(self) -> int:
         return self.kraus.shape[1]
 
-    @property
-    def num_kraus(self) -> int:
-        return self.kraus.shape[0]
-
     def normalization_defect(self) -> float:
         acc = sum(l.conj().T @ l for l in self.kraus)
         return float(np.linalg.norm(acc - np.eye(self.local_dim)))
@@ -135,9 +147,9 @@ class WalkModel:
 
     @staticmethod
     def from_json_dict(data: dict) -> "WalkModel":
-        shifts = np.asarray(data["shifts"], dtype=int)
-        model = WalkModel(shifts=shifts, kraus=matrix_from_json(data["kraus"]))
-        if model.lattice_dim != int(data["lattice_dim"]):
+        dim = lattice_coords(data["lattice_dim"], "lattice_dim")
+        model = WalkModel(shifts=data["shifts"], kraus=matrix_from_json(data["kraus"]))
+        if dim.shape != () or dim != model.lattice_dim:
             raise ValueError("lattice_dim inconsistent with shift vectors")
         return model
 

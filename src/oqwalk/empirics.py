@@ -1,13 +1,17 @@
 """Comparison of simulated laws against predicted mixtures.
 
 The convergence certificate is the one-dimensional Wasserstein-1 distance
-W1 = integral of |F_emp - F_mix|, evaluated exactly: the mixture CDF has a
-closed-form antiderivative (Gaussian components contribute
-sigma*(z*Phi(z) + phi(z)), point masses a hinge), the empirical CDF is
-piecewise constant, and each piece is integrated analytically after locating
-the single crossing by root finding. W1 dominates the bounded-Lipschitz
-(Fortet-Mourier) distance in one dimension, so a small W1 certifies
-convergence in law.
+W1 = integral of |F_emp - F|, evaluated exactly in one pass over the
+breakpoints: the samples and the point masses of the mixture. The mixture
+CDF F has a closed-form antiderivative G (Gaussian components contribute
+sigma*(z*Phi(z) + phi(z)), point masses a hinge). On a segment [a, b)
+between breakpoints the empirical CDF is one level c, which F crosses at
+most once, at x_c (a when F(a) >= c, b when F(b-) <= c, else found by
+bisection), so the segment contributes c*(2x_c - a - b) + G(a) + G(b) -
+2G(x_c). Above the last breakpoint, 1 - F integrates to G of the mirrored
+mixture at -x. KS is read from the same values of F just below and at each
+breakpoint. W1 dominates the bounded-Lipschitz (Fortet-Mourier) distance in
+one dimension, so a small W1 certifies convergence in law.
 """
 
 from __future__ import annotations
@@ -91,14 +95,17 @@ def _projected_components(mixture: MixtureModel, axis) -> list:
 
 
 def _cdf(comps, x):
+    """The mixture CDF just below x and at x; they differ by the point
+    masses at x."""
     x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
+    below = at = np.zeros_like(x)
     for w, mu, sigma in comps:
         if sigma > DIRAC_SIGMA:
-            total = total + w * ndtr((x - mu) / sigma)
+            part = w * ndtr((x - mu) / sigma)
+            below, at = below + part, at + part
         else:
-            total = total + w * (x >= mu)
-    return total
+            below, at = below + w * (x > mu), at + w * (x >= mu)
+    return below, at
 
 
 def _cdf_antiderivative(comps, x):
@@ -114,22 +121,10 @@ def _cdf_antiderivative(comps, x):
     return acc
 
 
-def _upper_tail(comps, x: float) -> float:
-    """Integral of 1 - CDF from x to +inf."""
-    acc = 0.0
-    for w, mu, sigma in comps:
-        if sigma > DIRAC_SIGMA:
-            z = (x - mu) / sigma
-            acc += w * sigma * (_normal_pdf(z) - z * (1.0 - ndtr(z)))
-        else:
-            acc += w * max(mu - x, 0.0)
-    return acc
-
-
 def mixture_cdf(mixture: MixtureModel, x, axis=None):
     """CDF of the projected mixture at x (scalar or array)."""
     comps = _projected_components(mixture, axis)
-    val = _cdf(comps, x)
+    val = _cdf(comps, x)[1]
     return float(val) if np.isscalar(x) else val
 
 
@@ -141,60 +136,34 @@ def w1_distance(emp: EmpiricalLaw1D, mixture: MixtureModel, axis=None) -> Distan
     if n == 0:
         raise ValueError("empirical law has no samples")
 
-    atoms = np.array(
-        [mu for w, mu, sigma in comps if sigma <= DIRAC_SIGMA and w > 0], dtype=float
-    )
+    atoms = [mu for w, mu, sigma in comps if sigma <= DIRAC_SIGMA and w > 0]
     breaks = np.unique(np.concatenate([xs, atoms]))
+    f_below, f_at = _cdf(comps, breaks)
+    g = _cdf_antiderivative(comps, breaks)
+    levels = np.searchsorted(xs, breaks, side="right") / n  # F_emp at each break
 
-    atom_mass = np.zeros_like(breaks)
-    for w, mu, sigma in comps:
-        if sigma <= DIRAC_SIGMA and w > 0:
-            atom_mass[np.searchsorted(breaks, mu)] += w
-
-    f_right = _cdf(comps, breaks)
-    f_left = f_right - atom_mass
-    anti = _cdf_antiderivative(comps, breaks)
-
-    a, b = breaks[:-1], breaks[1:]
-    levels = np.searchsorted(xs, a, side="right") / n
-    fa, fb = f_right[:-1], f_left[1:]
-    seg = anti[1:] - anti[:-1]
-    delta = b - a
-
-    above = fa >= levels  # mixture CDF sits above the empirical level
-    below = fb <= levels
-    cross = ~(above | below)
-
-    total = float(anti[0])  # |0 - F| below the support
-    total += float(np.sum(seg[above] - levels[above] * delta[above]))
-    total += float(np.sum(levels[below] * delta[below] - seg[below]))
+    a, b, c = breaks[:-1], breaks[1:], levels[:-1]
+    above = f_at[:-1] >= c
+    xc, gc = np.where(above, a, b), np.where(above, g[:-1], g[1:])
+    cross = ~above & (f_below[1:] > c)
     if np.any(cross):
-        # locate all crossings at once by bisection (the CDF is continuous
-        # in every segment interior: atoms only sit on breakpoints)
-        lo, hi = a[cross].copy(), b[cross].copy()
-        lvl = levels[cross]
+        lo, hi, lvl = a[cross], b[cross], c[cross]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            go_right = _cdf(comps, mid) < lvl
+            go_right = _cdf(comps, mid)[1] < lvl
             lo = np.where(go_right, mid, lo)
             hi = np.where(go_right, hi, mid)
-        xc = 0.5 * (lo + hi)
-        anti_c = _cdf_antiderivative(comps, xc)
-        left_part = lvl * (xc - a[cross]) - (anti_c - anti[:-1][cross])
-        right_part = (anti[1:][cross] - anti_c) - lvl * (b[cross] - xc)
-        total += float(np.sum(left_part + right_part))
-    total += _upper_tail(comps, float(breaks[-1]))  # |1 - F| above the support
+        xc[cross] = 0.5 * (lo + hi)
+        gc[cross] = _cdf_antiderivative(comps, xc[cross])
+    # c*(2x_c - a - b) + G(a) + G(b) - 2G(x_c), grouped so that where x_c is
+    # a or b the G terms reduce to the one difference G(b) - G(a) or its negative
+    segments = c * ((xc - a) - (b - xc)) + (g[:-1] - gc) + (g[1:] - gc)
+    upper = _cdf_antiderivative([(w, -mu, sigma) for w, mu, sigma in comps], -breaks[-1])
+    w1 = float(g[0]) + float(np.sum(segments)) + float(upper)
 
-    uniq = np.unique(xs)
-    f_vals = _cdf(comps, uniq)
-    right_levels = np.searchsorted(xs, uniq, side="right") / n
-    left_levels = np.searchsorted(xs, uniq, side="left") / n
-    ks = float(
-        np.max(
-            np.maximum(np.abs(f_vals - right_levels), np.abs(f_vals - left_levels))
-        )
-    )
-    return DistanceReport(w1=float(total), ks=ks)
+    levels_below = np.concatenate([[0.0], c])  # F_emp just below each break
+    ks = max(np.max(np.abs(f_at - levels)), np.max(np.abs(f_below - levels_below)))
+    return DistanceReport(w1=w1, ks=float(ks))
 
 
 def ldp_estimate(samples: list, interval: tuple[float, float], axis=None) -> list:

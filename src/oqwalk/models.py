@@ -98,7 +98,7 @@ def commuting_diagonal_walk(
         else:
             raise ValueError("provide shifts explicitly for an odd number of columns")
     kraus = np.array([np.diag(zeta[:, j]) for j in range(v)])
-    return WalkModel(shifts=np.asarray(shifts, dtype=int), kraus=kraus)
+    return WalkModel(shifts=shifts, kraus=kraus)
 
 
 def default_commuting_walk() -> WalkModel:

@@ -24,6 +24,7 @@ from .channel import (
     ChannelView,
     WalkModel,
     apply_dual,
+    lattice_coords,
     matrix_from_json,
     matrix_to_json,
     perron,
@@ -47,11 +48,9 @@ TOL_LINK = 1e-8  # Frobenius norm up to which a compressed dual fixed point is 0
 
 
 def _site(coords) -> tuple:
-    """Lattice site of integer ``coords``; other coordinates are a ValueError."""
-    coords = np.atleast_1d(coords).tolist()
-    if not all(isinstance(c, (int, float)) and float(c).is_integer() for c in coords):
-        raise ValueError(f"site {tuple(coords)}: coordinates must be integers")
-    return tuple(int(c) for c in coords)
+    """Lattice site of integer ``coords`` (``lattice_coords``' rule)."""
+    coords = np.asarray(coords, dtype=object).reshape(-1)
+    return tuple(lattice_coords(coords, f"site {tuple(coords.tolist())}: coordinates").tolist())
 
 
 @dataclass(frozen=True)

@@ -407,6 +407,26 @@ class TestLegendre:
             expected = bernoulli_rate(x[0], p) + bernoulli_rate(x[1], q)
             assert ev.value == pytest.approx(expected, abs=1e-8)
 
+    def test_planar_rate_at_and_beyond_the_hull_of_the_shifts(self):
+        # four equally likely unit steps: log lambda_u = log((cosh u1 + cosh u2) / 2).
+        # (0.6, 0.6) lies outside the hull |x1| + |x2| <= 1, so the ascent runs
+        # onto the ball ||u|| = U_MAX with the objective still rising
+        model = models.commuting_diagonal_walk(np.full((1, 4), 0.5))
+        sub = Subspace.full(1)
+        outside = legendre(model, sub, [0.6, 0.6])
+        assert outside.value == float("inf")
+        assert outside.note.startswith("objective unbounded on the search region")
+        assert np.linalg.norm(outside.maximizer) == pytest.approx(asymptotics.U_MAX)
+        assert outside.maximizer[0] == pytest.approx(outside.maximizer[1])
+        # (1, 0) is a vertex of the hull: the rate is log 4, approached as
+        # u1 grows, and the maximizer stops on the ball at (U_MAX, 0)
+        vertex = legendre(model, sub, [1.0, 0.0])
+        u = asymptotics.U_MAX
+        assert vertex.value == pytest.approx(u - np.log((np.cosh(u) + 1) / 2), abs=1e-12)
+        assert vertex.value == pytest.approx(np.log(4), abs=1e-8)
+        assert vertex.note.startswith("maximizer on the search boundary")
+        np.testing.assert_allclose(vertex.maximizer, [u, 0.0], atol=1e-6)
+
     def test_kink_of_reachable_compression(self, four_state_half):
         # log lambda on span{e0, e3} is log max(lam_V, lam_W) (closed forms of
         # test_reachable_compression_takes_max); the branches cross at

@@ -54,6 +54,21 @@ class TestValidate:
         with pytest.raises(ValueError):
             WalkModel(shifts=[[-1], [1]], kraus=bad)
 
+    @pytest.mark.parametrize("bad", [1.7, "2", True, np.True_, 1e30, 2**63, np.nan, None])
+    def test_shifts_must_be_int64_integers(self, bad):
+        # no value is cast onto a shift (1.7 is not shift 1, True not shift 1),
+        # and the simulator keeps positions in int64
+        kraus = np.array([np.eye(2), np.eye(2)]) / np.sqrt(2)
+        with pytest.raises(ValueError, match="shift coordinates must be integers in the int64"):
+            WalkModel(shifts=[[-1], [bad]], kraus=kraus)
+
+    def test_integral_shifts_are_int64(self):
+        kraus = np.array([np.eye(2), np.eye(2)]) / np.sqrt(2)
+        model = WalkModel(shifts=[[-1.0], [np.int64(2**62)]], kraus=kraus)
+        assert model.shifts.dtype == np.int64
+        assert model.shifts.tolist() == [[-1], [2**62]]
+        assert WalkModel(shifts=[[-(2**63)], [1]], kraus=kraus).shifts[0, 0] == -(2**63)
+
     def test_model_arrays_are_read_only_copies(self):
         shifts = np.array([[-1], [1]])
         kraus = np.array([np.eye(2), np.eye(2)], dtype=complex) / np.sqrt(2)
@@ -95,6 +110,19 @@ class TestSerialization:
         entry = data["kraus"][0][0][0]
         assert isinstance(entry, list) and len(entry) == 2
         json.dumps(data)  # serializable
+
+
+    @pytest.mark.parametrize("dim", [1.5, True, "1", None, [1], 2])
+    def test_lattice_dim_must_be_the_integer_shift_dimension(self, two_state, dim):
+        data = two_state.to_json_dict()
+        data["lattice_dim"] = dim
+        with pytest.raises(ValueError, match="lattice_dim"):
+            WalkModel.from_json_dict(data)
+
+    def test_integral_float_lattice_dim(self, two_state):
+        data = two_state.to_json_dict()
+        data["lattice_dim"] = 1.0
+        assert WalkModel.from_json_dict(data).lattice_dim == 1
 
 
 class TestApply:

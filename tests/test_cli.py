@@ -689,6 +689,54 @@ class TestInputErrors:
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
         assert "input error" in err and message in err
 
+    @pytest.mark.parametrize(
+        "site, message",
+        [(True, "site (True,): coordinates"), (1e30, "site (1e+30,): coordinates")],
+        ids=["bool", "1e30"],
+    )
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_state_sites_that_are_not_int64_integers(
+        self, tmp_path, capsys, command, site, message
+    ):
+        # true is not site 1, and 1e30 does not fit the simulator's int64
+        # positions: every command refuses both before any work
+        half = channel.matrix_to_json(np.diag([0.5, 0.0]))
+        entries = [{"site": [0], "matrix": half}, {"site": [site], "matrix": half}]
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"entries": entries}))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+        assert "input error" in err and message in err and "int64 range" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shifts", 1.7),
+            ("shifts", "2"),
+            ("shifts", True),
+            ("shifts", 1e30),
+            ("lattice_dim", 1.5),
+        ],
+        ids=["fraction", "string", "bool", "1e30", "fractional-dim"],
+    )
+    def test_model_coordinates_that_are_not_int64_integers(self, tmp_path, capsys, key, value):
+        # no value is cast (1.7 is not shift 1), and 1e30 does not fit in
+        # int64: validate and every command refuse each before any work
+        data = json.loads(Path(fixture("two_state.json")).read_text())
+        if key == "shifts":
+            data["shifts"][1][0] = value
+        else:
+            data["lattice_dim"] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        assert main(["validate", "--model", str(model)]) == 1
+        assert "input error" in capsys.readouterr().err
+        base = ["--model", str(model), "--state", fixture("state_two_recurrent.json")]
+        for command in sorted(self.REQUIRED):
+            err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
+            message = "shift coordinates" if key == "shifts" else "lattice_dim"
+            assert "input error" in err and f"{message} must be integers in the int64 range" in err
+
     def test_one_prediction_per_ensemble(self, tmp_path, capsys):
         err = self.run(
             tmp_path, capsys, "compare",

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, norm
 
 from oqwalk import models
 from oqwalk.asymptotics import GaussianComponent, MixtureModel, clt_mixture
@@ -30,6 +33,55 @@ def empirical_as_mixture(emp: EmpiricalLaw1D) -> MixtureModel:
     root_n = np.sqrt(max(emp.horizon, 1))
     comps = [(1.0 / emp.count, gaussian(s / root_n, 0.0)) for s in emp.samples]
     return MixtureModel(components=comps, horizon=max(emp.horizon, 1))
+
+
+def point_masses(atoms) -> MixtureModel:
+    """Mixture of point masses from (weight, position) pairs."""
+    return MixtureModel(components=[(w, gaussian(x, 0.0)) for w, x in atoms], horizon=1)
+
+
+def exact_point_mass_w1(samples, atoms) -> Fraction:
+    """W1 = integral of |F_emp - F| between the empirical law of ``samples``
+    and point masses ``atoms`` ((weight, position) pairs, weights summing to
+    1 exactly), in exact rational arithmetic: both CDFs are constant between
+    consecutive points of the union of supports."""
+    samples = [Fraction(s) for s in samples]
+    atoms = [(Fraction(w), Fraction(x)) for w, x in atoms]
+    assert sum(w for w, _ in atoms) == 1
+    points = sorted(set(samples) | {x for _, x in atoms})
+    total = Fraction(0)
+    for a, b in zip(points, points[1:]):
+        emp = Fraction(sum(s <= a for s in samples), len(samples))
+        mix = sum((w for w, x in atoms if x <= a), Fraction(0))
+        total += abs(emp - mix) * (b - a)
+    return total
+
+
+def brute_force_ks(samples, comps) -> float:
+    """sup over x of |F_emp(x) - F(x)| for (weight, mean, sigma) components
+    (sigma = 0 a point mass). Between consecutive points of the samples and
+    atoms F_emp is constant and F monotone, so the supremum is one of the
+    limits from below and at those points."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    points = set(samples.tolist()) | {mu for _, mu, sigma in comps if sigma == 0}
+    best = 0.0
+    for t in sorted(points):
+        below = sum(w * (norm.cdf(t, mu, s) if s > 0 else t > mu) for w, mu, s in comps)
+        at = sum(w * (norm.cdf(t, mu, s) if s > 0 else t >= mu) for w, mu, s in comps)
+        emp_below = np.count_nonzero(samples < t) / n
+        emp_at = np.count_nonzero(samples <= t) / n
+        best = max(best, abs(emp_below - below), abs(emp_at - at))
+    return best
+
+
+def random_point_masses(rng, count):
+    """``count`` distinct atoms on the grid Z/8 with dyadic weights summing
+    to 1 exactly."""
+    cuts = np.sort(rng.choice(np.arange(1, 16), size=count - 1, replace=False))
+    weights = np.diff(np.concatenate([[0], cuts, [16]])) / 16
+    positions = rng.choice(np.arange(-24, 25), size=count, replace=False) / 8
+    return [(float(w), float(x)) for w, x in zip(weights, positions)]
 
 
 def planar_model():
@@ -158,6 +210,82 @@ class TestW1:
             np.max(np.abs(f - levels)), np.max(np.abs(f - (levels - 1 / 3)))
         )
         assert report.ks == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("mean, sigma", [(0.0, 1.0), (-3.25, 0.5), (7.0, 2.5)])
+    def test_single_sample_is_the_folded_normal_mean(self, mean, sigma):
+        # E|X - x| for X ~ N(mean, sigma^2) is sigma (2 phi(z) + z erf(z / sqrt 2))
+        mix = MixtureModel(components=[(1.0, gaussian(mean, sigma**2))], horizon=1)
+        for z in np.linspace(-40.0, 40.0, 161):
+            x = mean + z * sigma
+            z = (x - mean) / sigma  # of the sample as rounded
+            pdf = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+            exact = sigma * (2 * pdf + z * math.erf(z / math.sqrt(2)))
+            emp = EmpiricalLaw1D(samples=np.array([x]), horizon=1)
+            assert w1_distance(emp, mix).w1 == pytest.approx(exact, rel=4e-15)
+
+    @pytest.mark.parametrize(
+        "samples, atoms",
+        [
+            # samples on atoms, atoms between samples
+            ([0.0, 1.0, 2.0, 3.0], [(0.5, 0.5), (0.25, 2.0), (0.25, 2.5)]),
+            # atoms below and above every sample
+            ([0.0, 1.0, 1.0], [(0.5, -1.0), (0.5, 3.0)]),
+            # one atom on the one sample value: the laws agree
+            ([0.75, 0.75], [(1.0, 0.75)]),
+            # an atom inside the samples' span, five samples
+            ([-2.0, -0.5, 0.25, 4.0, 4.5], [(1.0, 0.125)]),
+        ],
+    )
+    def test_point_masses_match_exact_rational_w1(self, samples, atoms):
+        emp = EmpiricalLaw1D(samples=np.array(samples), horizon=1)
+        report = w1_distance(emp, point_masses(atoms))
+        exact = exact_point_mass_w1(samples, atoms)
+        assert report.w1 == pytest.approx(float(exact), rel=4e-15, abs=4e-16)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_point_masses_match_exact_rational_w1(self, seed):
+        rng = np.random.default_rng(seed)
+        atoms = random_point_masses(rng, int(rng.integers(1, 5)))
+        samples = rng.integers(-12, 13, size=int(rng.integers(1, 40))) / 4
+        # about a third of the samples sit on an atom
+        on_atom = rng.random(samples.size) < 1 / 3
+        samples[on_atom] = rng.choice([x for _, x in atoms], size=int(on_atom.sum()))
+        report = w1_distance(EmpiricalLaw1D(samples=samples, horizon=1), point_masses(atoms))
+        exact = exact_point_mass_w1(samples.tolist(), atoms)
+        assert report.w1 == pytest.approx(float(exact), rel=4e-15, abs=4e-16)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ks_matches_brute_force_supremum(self, seed):
+        # Gaussian components and point masses strictly between the samples
+        rng = np.random.default_rng(100 + seed)
+        samples = np.round(rng.normal(0.0, 1.5, size=int(rng.integers(1, 60))), 2)
+        atom = 0.005 + float(rng.integers(-300, 300)) / 100
+        comps = [(0.5, -0.5, 1.0), (0.25, atom, 0.0), (0.25, 1.0, 0.5)]
+        mix = MixtureModel(
+            components=[(w, gaussian(mu, s**2)) for w, mu, s in comps], horizon=1
+        )
+        report = w1_distance(EmpiricalLaw1D(samples=samples, horizon=1), mix)
+        assert report.ks == pytest.approx(brute_force_ks(samples, comps), abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ks_with_samples_on_atoms(self, seed):
+        # where a sample sits on a point mass both CDFs jump: the limits from
+        # below are compared with each other, and so are the values at it
+        rng = np.random.default_rng(200 + seed)
+        atoms = random_point_masses(rng, int(rng.integers(1, 4)))
+        samples = rng.integers(-12, 13, size=int(rng.integers(1, 30))) / 4
+        samples[: max(1, samples.size // 3)] = atoms[0][1]
+        comps = [(w, x, 0.0) for w, x in atoms]
+        report = w1_distance(EmpiricalLaw1D(samples=samples, horizon=1), point_masses(atoms))
+        assert report.ks == pytest.approx(brute_force_ks(samples, comps), abs=1e-15)
+
+    def test_identical_point_masses_have_zero_ks(self):
+        samples = np.array([0.0, 0.0, 1.0, 1.0])
+        report = w1_distance(
+            EmpiricalLaw1D(samples=samples, horizon=1), point_masses([(0.5, 0.0), (0.5, 1.0)])
+        )
+        assert report.w1 == 0.0
+        assert report.ks == 0.0
 
     def test_convergence_trend(self, four_state, four_state_dec, balanced_recurrent):
         # lighter version of the acceptance run: the rescaled law approaches

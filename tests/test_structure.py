@@ -537,6 +537,23 @@ class TestDiagonalState:
         with pytest.raises(ValueError, match=rf"site \({coord},\): coordinates must be integers"):
             DiagonalState(entries)
 
+    @pytest.mark.parametrize("coord", [True, "1", 1e30, 2**63, None])
+    def test_site_coordinates_must_fit_in_int64(self, coord):
+        # True is not site 1, and the simulator keeps positions in int64
+        entries = {(0,): np.diag([0.5, 0.0]), (coord,): np.diag([0.0, 0.5])}
+        with pytest.raises(ValueError, match="coordinates must be integers in the int64 range"):
+            DiagonalState(entries)
+        half = channel.matrix_to_json(np.diag([0.5, 0.0]))
+        data = {"entries": [{"site": [0], "matrix": half}, {"site": [coord], "matrix": half}]}
+        with pytest.raises(ValueError, match="coordinates must be integers in the int64 range"):
+            DiagonalState.from_json_dict(data)
+
+    def test_sites_are_int_tuples(self):
+        entries = {(np.int64(-2), 1.0): np.diag([0.5, 0.0]), (3.0, 2**62): np.diag([0.0, 0.5])}
+        rho = DiagonalState(entries)
+        assert sorted(rho.entries) == [(-2, 1), (3, 2**62)]
+        assert all(type(c) is int for site in rho.entries for c in site)
+
     def test_site_given_twice(self):
         half = channel.matrix_to_json(np.diag([0.5, 0.0]))
         with pytest.raises(ValueError, match=r"site \(1,\) is given twice"):
