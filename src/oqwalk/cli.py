@@ -288,7 +288,10 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     # one run to the longest horizon serves every horizon
     start = time.perf_counter()
-    full = simulate.run(model, rho, config, tracks)
+    try:
+        full = simulate.run(model, rho, config, tracks)
+    except ValueError as exc:  # positions that would not fit in int64
+        raise InputError(str(exc)) from exc
     wall = time.perf_counter() - start
     for n in horizons:
         ensemble = full.at(n)

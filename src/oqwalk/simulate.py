@@ -45,46 +45,33 @@ the children inherit that: two processes with two BLAS threads each made a
 16384 x 600 run on two cores 2.7x slower than one process. The caller's thread counts are restored
 afterwards; other BLAS libraries are left as they are.
 
-State forms: a trajectory's state rho_n = F_n F_n* keeps the rank r of its
-start, so it can be stepped as an h x r factor F <- L_j F / sqrt(p_j), with
-p_j = ||L_j F||^2. This is the same trajectory as stepping rho, not another
-unravelling. ``run`` factors each normalized site matrix as F = V sqrt(Lambda)
-over the eigenpairs that ``linalg.support_eigenpairs`` keeps, pads F to the
-largest rank, and steps factors when v r <= h (v branches) and every F F*
-reproduces its site matrix to ``FACTOR_TOL`` in each entry; otherwise it
-steps densities. The switch is measured (one BLAS thread, 2-core Xeon, run
-time per trajectory-step): at v r <= h factors were faster at every (h, v, r)
-tried on random models, h from 2 to 16 and v = 2 and 4, and from v r = 1.5 h
-on densities mostly were. At h = 4 and v = 2 on four_state_p3_sixth, 4096 x
-600 steps, factors took 0.32-0.41x the time of densities from rank 1
-(``certify_h4``'s start), 0.83x from rank 2, 1.55x from rank 3 (criterion
-07's start) and 1.60x from full rank; full-rank starts took 1.25x at h = 8
-and 1.05x at h = 16 (measured before the branch choice read columns). Both
-forms share the chunk loop (streams, site draw, branch choice, positions and
-records); they differ only in how they get the branch probabilities, apply
-the chosen branch and read a track:
-
-- ``_Densities`` precomputes the effects M_j = L_j* L_j once per run, so the
-  probabilities p_j = Re<M_j, rho> of a whole chunk are one row-stacked
-  complex matrix product. The update groups the chunk by chosen branch: the
-  trajectories that drew branch j share two BLAS products with L_j
-  (``_apply_branches``).
-  Renormalization scales the real view of each state by 1/Tr, and every
-  ``REHERMITIZE_EVERY`` steps the states are made Hermitian again.
-- ``_Factors`` holds the rows of F^T, a (c, r, h) array. One row-stacked
-  product with [L_1^T ... L_v^T] gives every branch's L_j F, whose real view
-  gives the p_j; the chosen product is scaled by 1/sqrt(p_j). F F* is
-  Hermitian and positive semidefinite by construction, so this form needs no
-  rehermitization. A track is sum_k f_k* A f_k over the columns f_k of F.
-
-The complex products stack the chunk's states as rows (``_apply_branches``,
-``_rows_times``), so a state's result does not depend on the chunk size.
-A real product would not do for the density-form probabilities: OpenBLAS
-rounds the last c mod 4 rows of a (c x 2h^2) @ (2h^2 x 2) product otherwise
-than the same rows inside a longer one.
-
-Positions agree between the forms bit for bit wherever no uniform falls
-within roundoff of a branch boundary; track values agree to about 1e-14.
+State: a trajectory's state rho_n = F_n F_n* keeps the rank r of its start,
+so it is stepped as an h x r factor F <- L_j F / sqrt(p_j), with
+p_j = ||L_j F||^2; F F* is Hermitian and positive semidefinite by
+construction, so no step restores either. Each normalized site matrix is
+factored as F = V sqrt(Lambda) over the eigenpairs that
+``linalg.support_eigenpairs`` keeps, so eigenvalues at or below TOL_RANK
+times its norm are not stepped (``DiagonalState`` validates its sites by the
+same rule). A run with tracks steps every site's whole F, zero-padded to the
+largest rank, because a track reads the mixed conditional state. A run
+without tracks steps one column f_k = sqrt(lambda_k) psi_k of F, a pure
+atom: the position law is linear in the start, so drawing the pair (x, k)
+with probability tr rho(x) lambda_k and stepping the pure state gives the
+positions exactly the law of the mixed start (the pure-start unravelling of
+Attal, Guillotin-Plantard and Sabot, Ann. Henri Poincare 2015). The pair is
+drawn with the one uniform of the site draw: each site's slice of the site
+CDF is split among its atoms in proportion to their eigenvalues, so the site
+drawn does not change, and a rank-1 site steps the factor a tracked run
+steps. A chunk's states are a (c, r, h) array of the rows of F^T; one
+row-stacked product (``_rows_times``) with [L_1^T ... L_v^T] gives every
+branch's (L_j F)^T, and p_j sums ||L_j f_k||^2 over the columns one at a
+time; stacked as rows, a state's result does not depend on the chunk size.
+A track is sum_k f_k* A f_k. One form pays against stepping h x h density
+matrices (per trajectory-step, serial, one BLAS thread, 2-core Xeon whose
+speed drifts by up to 2x): without tracks the four-level walk's rank-3
+balanced start took 0.37-0.43x the time, and random full-rank starts
+0.18-0.22x at h = 8 and 0.14-0.21x at h = 16; with tracks, rank-r factors
+took 0.6-1.3x the time from h = 2 to 16, the most at h = 4 (0.8-1.38x).
 
 Branch choice (``_choose_branches``): the (c, v) probabilities of a chunk
 (c states, v branches) are clipped at 0 into a contiguous branch-major
@@ -127,9 +114,6 @@ from .structure import DiagonalState
 
 CHUNK = 4096
 DRAW_BLOCK = 256
-REHERMITIZE_EVERY = 50
-# largest entry by which F F* may miss a normalized site matrix on the factor path
-FACTOR_TOL = 1e-14
 # fewest trajectories a slice of a forked run steps (see the module text)
 PARALLEL_MIN_SLICE = 512
 # final absorption-track values that count as absorbed / as escaped
@@ -203,64 +187,6 @@ def _snapshot_steps(steps: int, stride: int) -> np.ndarray:
     return np.array(marks, dtype=int)
 
 
-def _apply_branches(
-    states: np.ndarray, chosen: np.ndarray, kraus_t: np.ndarray, kraus_dag: np.ndarray
-) -> None:
-    """Replace each state S_i by L_j S_i L_j*, j = chosen[i], in place.
-
-    ``kraus_t`` and ``kraus_dag`` hold the contiguous L_j^T and L_j*. The
-    states that chose branch j are stacked along the row dimension of both
-    products: the stacked S_i^T times L_j^T gives the (L_j S_i)^T, and the
-    stacked L_j S_i times L_j* gives the new states. Stacked as rows, a
-    state's result does not depend on how many states share its group, so
-    not on ``CHUNK`` either; stacked as columns, L_j @ [S_1 ... S_c], its
-    last bits depend on c at h = 2, 3, 5 and 6 with OpenBLAS.
-    """
-    h = states.shape[1]
-    for j in range(kraus_t.shape[0]):
-        idx = np.flatnonzero(chosen == j)
-        left = states[idx].transpose(0, 2, 1).reshape(-1, h) @ kraus_t[j]
-        left = left.reshape(-1, h, h).transpose(0, 2, 1).reshape(-1, h)
-        states[idx] = (left @ kraus_dag[j]).reshape(-1, h, h)
-
-
-class _Densities:
-    """A chunk's states as (c, h, h) density matrices.
-
-    ``branches`` gives p_j = Re<M_j, rho> from one row-stacked complex
-    product with the effects M_j = L_j* L_j; ``take`` applies only the
-    chosen branch (``_apply_branches``) and reads its weight off the new
-    trace.
-    """
-
-    def __init__(self, kraus: np.ndarray, site_mats: np.ndarray):
-        v, h = kraus.shape[0], kraus.shape[1]
-        self.starts = site_mats
-        self.kraus_t = np.ascontiguousarray(kraus.transpose(0, 2, 1))
-        self.kraus_dag = np.ascontiguousarray(kraus.conj().transpose(0, 2, 1))
-        # p_j = Re(vec(rho) . conj(vec(M_j))), complex (see the module text)
-        self.effects = np.ascontiguousarray((self.kraus_dag @ kraus).conj().reshape(v, h * h).T)
-
-    def branches(self, states):
-        return _rows_times(states.reshape(len(states), -1), self.effects).real, None
-
-    def take(self, states, products, probs, chosen):
-        _apply_branches(states, chosen, self.kraus_t, self.kraus_dag)
-        return states, np.einsum("naa->n", states).real
-
-    @staticmethod
-    def normalize(states, weights, n):
-        # numpy divides by tr + 0j as (re, im) * (1 / tr): same rounding, half the cost
-        states.view(float)[...] *= (1.0 / weights)[:, None, None]
-        if n % REHERMITIZE_EVERY == 0:
-            states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-        return states
-
-    @staticmethod
-    def track(op, states):
-        return np.einsum("ab,nba->n", op, states).real
-
-
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """``rows @ mat`` for a 2-D ``rows``, each row the same bits whatever the
     row count: numpy hands a single row to gemv, which rounds otherwise than
@@ -270,41 +196,28 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return rows @ mat
 
 
-class _Factors:
-    """A chunk's states rho = F F* as (c, r, h) arrays of the rows of F^T.
+def _branch_probabilities(states: np.ndarray, stacked: np.ndarray) -> tuple:
+    """Every branch's (L_j F)^T for the (c, r, h) rows of F^T in ``states``,
+    a (c, r, v, h) array, and the (c, v) probabilities p_j = ||L_j F||^2.
 
-    ``branches`` forms every branch's (L_j F)^T with one row-stacked product
-    (c r x h) @ [L_1^T ... L_v^T] and p_j = ||L_j F||^2 from its real view;
-    ``take`` keeps the chosen branch's product. F F* is Hermitian and
-    positive semidefinite by construction, so no step restores either.
+    ``stacked`` is [L_1^T ... L_v^T]. The p_j are summed over the columns
+    f_k of F one at a time, each ||L_j f_k||^2 a dot product of real views.
     """
+    c, r, h = states.shape
+    products = _rows_times(states.reshape(c * r, h), stacked).reshape(c, r, -1, h)
+    parts = products.view(float)
+    probs = np.einsum("njk,njk->nj", parts[:, 0], parts[:, 0])
+    for k in range(1, r):
+        probs += np.einsum("njk,njk->nj", parts[:, k], parts[:, k])
+    return probs, products
 
-    def __init__(self, kraus: np.ndarray, factors: np.ndarray):
-        self.starts = factors
-        self.stacked = np.hstack(kraus.transpose(0, 2, 1))
 
-    def branches(self, states):
-        c, r, h = states.shape
-        products = _rows_times(states.reshape(c * r, h), self.stacked).reshape(c, r, -1, h)
-        parts = products.view(float)
-        return np.einsum("nrjk,nrjk->nj", parts, parts), products
-
-    @staticmethod
-    def take(states, products, probs, chosen):
-        rows = np.arange(len(chosen))
-        return products[rows, :, chosen], probs[chosen, rows]
-
-    @staticmethod
-    def normalize(states, weights, n):
-        states.view(float)[...] *= (1.0 / np.sqrt(weights))[:, None, None]
-        return states
-
-    @staticmethod
-    def track(op, states):
-        # sum over the columns f of F of Re f* A f, a dot product of real views
-        c, r, h = states.shape
-        applied = _rows_times(states.reshape(c * r, h), op.T).view(float).reshape(c, -1)
-        return np.einsum("nk,nk->n", states.view(float).reshape(c, -1), applied)
+def _track(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Tr(A F F*) = sum over the columns f of F of Re f* A f, for the (c, r, h)
+    rows of F^T in ``states``: a dot product of real views."""
+    c, r, h = states.shape
+    applied = _rows_times(states.reshape(c * r, h), op.T).view(float).reshape(c, -1)
+    return np.einsum("nk,nk->n", states.view(float).reshape(c, -1), applied)
 
 
 def _branch_totals(probs: np.ndarray) -> np.ndarray:
@@ -343,27 +256,31 @@ def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
     return probs, chosen
 
 
-def _factors_pay(num_kraus: int, rank: int, h: int) -> bool:
-    """The measured switch between the state forms (see the module text)."""
-    return num_kraus * rank <= h
+def _starts(site_mats: np.ndarray, site_cdf: np.ndarray, pure: bool) -> tuple:
+    """The states a trajectory may start in, as rows of F^T, with each one's
+    site index and the upper end of its slice of [0, 1), ascending.
 
-
-def _site_factors(site_mats: np.ndarray, num_kraus: int) -> np.ndarray | None:
-    """Rows of F^T for each site matrix rho = F F*, F = V sqrt(Lambda) over
-    the support eigenpairs, zero-padded to the largest rank r: an (S, r, h)
-    array. None where factors do not pay (``_factors_pay``) or where some
-    F F* misses its site matrix by more than FACTOR_TOL in an entry, so that
-    dropped eigenvalues cannot move a branch pick."""
-    h = site_mats.shape[1]
+    Each normalized site matrix rho = F F* is factored as F = V sqrt(Lambda)
+    over its support eigenpairs. With ``pure`` the starts are the columns of
+    every F, an (A, 1, h) array, and a site's slice of ``site_cdf`` is split
+    among them in proportion to their eigenvalues; otherwise they are the F
+    themselves, zero-padded to the largest rank r, an (S, r, h) array with
+    ``site_cdf`` (see the module text).
+    """
     pairs = [support_eigenpairs(m) for m in site_mats]
-    r = max(len(w) for w, _ in pairs)
-    if not _factors_pay(num_kraus, r, h):
-        return None
-    rows = np.zeros((len(site_mats), r, h), dtype=complex)
-    for k, (w, vecs) in enumerate(pairs):
-        rows[k, : len(w)] = (vecs * np.sqrt(w)).T
-    miss = np.abs(rows.transpose(0, 2, 1) @ rows.conj() - site_mats).max()
-    return rows if miss <= FACTOR_TOL else None
+    cols = [(vecs * np.sqrt(w)).T for w, vecs in pairs]  # (rank, h) each
+    if not pure:
+        rows = np.zeros((len(cols), max(map(len, cols)), site_mats.shape[1]), dtype=complex)
+        for x, f in enumerate(cols):
+            rows[x, : len(f)] = f
+        return rows, np.arange(len(cols)), site_cdf
+    bounds = []
+    for x, (w, _) in enumerate(pairs):
+        if len(w):  # a trace-0 site has no atoms and is never drawn
+            lo, hi = (site_cdf[x - 1] if x else 0.0), site_cdf[x]
+            bounds += [np.minimum(lo + (hi - lo) * np.cumsum(w[:-1]) / w.sum(), hi), [hi]]
+    sites = np.repeat(np.arange(len(cols)), [len(f) for f in cols])
+    return np.concatenate(cols)[:, None], sites, np.concatenate(bounds)
 
 
 def _available_cores() -> int:
@@ -493,7 +410,12 @@ def run(
     ``tracks`` maps an id to a Hermitian observable with spectrum in [0, 1]
     (absorption operators, projectors); its expectation in the internal state
     is recorded every ``y_stride`` steps. A recorded value outside [0, 1]
-    (beyond 1e-9) raises NumericalDegeneracyError.
+    (beyond 1e-9) raises NumericalDegeneracyError. Without tracks, each
+    trajectory starts in a pure state drawn from its site's eigenvectors,
+    which gives the positions the law of the mixed start (see the module
+    text). A run whose positions could leave int64, max|site coordinate| +
+    steps * max|shift coordinate| above its maximum, raises ValueError
+    before any step.
     """
     tracks = tracks or {}
     n_traj, n_steps = config.trajectories, config.steps
@@ -506,14 +428,18 @@ def run(
     marks = {int(s): (i, cuts.get(int(s))) for i, s in enumerate(snap)}
 
     sites, traces, site_mats = rho.normalized_sites()  # trace-0 sites are never drawn
-    site_pos = np.array(sites, dtype=int).reshape(len(sites), d)
+    reach = max(abs(int(x)) for site in sites for x in site)
+    reach += n_steps * max(abs(int(s)) for s in model.shifts.flat)
+    if reach > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"positions could reach {reach} in {n_steps} steps, beyond the int64 maximum"
+        )
     site_cdf = np.cumsum(traces)
     site_cdf /= site_cdf[-1]
+    starts, start_sites, start_cdf = _starts(site_mats, site_cdf, pure=not tracks)
+    start_pos = np.array(sites, dtype=int).reshape(len(sites), d)[start_sites]
 
-    kraus = model.kraus
-    num_kraus = kraus.shape[0]
-    factors = _site_factors(site_mats, num_kraus)
-    form = _Densities(kraus, site_mats) if factors is None else _Factors(kraus, factors)
+    stacked = np.hstack(model.kraus.transpose(0, 2, 1))
     shifts = model.shifts
     track_ids = sorted(tracks.keys())
     track_ops = [np.asarray(tracks[t], dtype=complex) for t in track_ids]
@@ -531,12 +457,13 @@ def run(
         rngs = [trajectory_rng(config.seed, i) for i in range(lo, hi)]
         block = np.empty((c, min(DRAW_BLOCK, n_steps)))
 
-        site_idx = np.minimum(
-            np.searchsorted(site_cdf, [g.random() for g in rngs], side="right"),
-            len(sites) - 1,
+        traj = np.arange(c)
+        start_idx = np.minimum(
+            np.searchsorted(start_cdf, [g.random() for g in rngs], side="right"),
+            len(start_cdf) - 1,
         )
-        states = form.starts[site_idx]
-        positions = site_pos[site_idx].copy()
+        states = starts[start_idx]
+        positions = start_pos[start_idx].copy()
         initial[lo:hi] = positions
 
         def record(step_index):
@@ -547,7 +474,7 @@ def run(
             if cut is not None:
                 cut[lo:hi] = positions
             for tid, op in zip(track_ids, track_ops):
-                vals = form.track(op, states)
+                vals = _track(op, states)
                 if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
                     raise NumericalDegeneracyError(
                         f"track {tid!r} left [0,1]: range "
@@ -562,12 +489,13 @@ def run(
                 uniforms = block[:, : min(DRAW_BLOCK, n_steps - n + 1)]
                 for g, row in zip(rngs, uniforms):
                     g.random(out=row)
-            probs, products = form.branches(states)
+            probs, products = _branch_probabilities(states, stacked)
             probs, chosen = _choose_branches(probs, uniforms[:, k])
-            states, weights = form.take(states, products, probs, chosen)
+            weights = probs[chosen, traj]
             if not weights.min() >= 1e-14:  # also true on NaN
                 raise NumericalDegeneracyError("selected branch has vanishing probability")
-            states = form.normalize(states, weights, n)
+            states = products[traj, :, chosen]
+            states.view(float)[...] *= (1.0 / np.sqrt(weights))[:, None, None]
             positions += shifts[chosen]
             record(n)
 
@@ -586,25 +514,6 @@ def run(
         y_tracks=y_out,
         horizon_positions=cuts,
     )
-
-
-def martingale_check(
-    model: WalkModel, observable: np.ndarray, states: list
-) -> float:
-    """Worst one-step violation of E[Tr(A rho_{n+1}) | rho_n] = Tr(A rho_n).
-
-    The conditional expectation collapses algebraically to
-    sum_j Tr(A L_j rho L_j*), so this is an exact identity check (no
-    sampling) that the observable is harmonic.
-    """
-    a = np.asarray(observable, dtype=complex)
-    worst = 0.0
-    for rho in states:
-        stepped = sum(
-            float(np.trace(a @ (l @ rho @ l.conj().T)).real) for l in model.kraus
-        )
-        worst = max(worst, abs(stepped - float(np.trace(a @ rho).real)))
-    return worst
 
 
 def classify_absorption(

@@ -2,7 +2,9 @@
 
 The oracle of the batched engine in ``oqwalk.simulate.run``: fed the same
 per-trajectory stream (``simulate.trajectory_rng``), it draws the same site
-and the same Kraus indices, so positions must agree exactly.
+(and, for a run without tracks, the same eigenvector of it) and the same
+Kraus indices, so positions must agree exactly. It steps density matrices,
+where the engine steps factors of them.
 """
 
 from dataclasses import dataclass
@@ -11,6 +13,7 @@ import numpy as np
 
 from oqwalk.channel import WalkModel
 from oqwalk.errors import NumericalDegeneracyError
+from oqwalk.linalg import support_eigenpairs
 from oqwalk.structure import DiagonalState
 
 
@@ -32,19 +35,31 @@ def _pick(cdf_row: np.ndarray, u: float) -> int:
     return min(j, len(cdf_row) - 1)
 
 
-def sample_initial(rho: DiagonalState, rng: np.random.Generator) -> TrajectoryState:
-    """Draw the starting site with probability Tr(rho(k)) and normalize."""
+def sample_initial(
+    rho: DiagonalState, rng: np.random.Generator, pure: bool = False
+) -> TrajectoryState:
+    """Draw the starting site with probability Tr(rho(k)) and normalize.
+
+    With ``pure``, as ``run`` does without tracks, the same uniform also
+    draws an eigenvector psi of the normalized site matrix with probability
+    its eigenvalue, by splitting the site's slice of the CDF in proportion
+    to the eigenvalues, and the start is psi psi*.
+    """
     sites = sorted(rho.entries.keys())
     traces = np.array([float(np.trace(rho.entries[s]).real) for s in sites])
     cdf = np.cumsum(traces)
     cdf /= cdf[-1]
-    k = _pick(cdf, float(rng.random()))
+    u = float(rng.random())
+    k = _pick(cdf, u)
     site = sites[k]
-    mat = rho.entries[site]
-    return TrajectoryState(
-        position=np.array(site, dtype=int),
-        state=mat / np.trace(mat).real,
-    )
+    state = rho.entries[site] / traces[k]
+    if pure:
+        w, vecs = support_eigenpairs(state)
+        lo, hi = (cdf[k - 1] if k else 0.0), cdf[k]
+        bounds = np.append(np.minimum(lo + (hi - lo) * np.cumsum(w[:-1]) / w.sum(), hi), hi)
+        psi = vecs[:, _pick(bounds, u)]
+        state = np.outer(psi, psi.conj())
+    return TrajectoryState(position=np.array(site, dtype=int), state=state)
 
 
 def step(

@@ -24,12 +24,15 @@ from oqwalk.asymptotics import (
 from oqwalk.channel import ChannelView, perron
 from oqwalk.empirics import rescale, w1_distance
 from oqwalk.linalg import Subspace
-from oqwalk.simulate import SimConfig, classify_absorption, martingale_check, run
+from oqwalk.simulate import SimConfig, classify_absorption, run
 from oqwalk.structure import DiagonalState, absorption, decompose
 from util import (
     apply,
     basis_subspace,
     bernoulli_rate,
+    dkw_band,
+    enumerate_displacement_law,
+    martingale_check,
     random_densities,
     random_irreducible_model,
     subspace_angle,
@@ -229,20 +232,6 @@ def test_criterion_07_mixture_convergence():
     report("7 mixture-convergence", ok, f"({'; '.join(details)}; {elapsed:.0f}s)")
 
 
-def _enumerate_displacement_law(model, rho0, steps):
-    """Exact displacement law and unnormalized branch tree by enumeration."""
-    law = {}
-    stack = [(rho0, 0, 1.0, 0)]  # state (unnormalized), displacement, _, depth
-    while stack:
-        state, disp, _, depth = stack.pop()
-        if depth == steps:
-            law[disp] = law.get(disp, 0.0) + float(np.trace(state).real)
-            continue
-        for shift, kraus in zip(model.shifts[:, 0], model.kraus):
-            stack.append((kraus @ state @ kraus.conj().T, disp + int(shift), 1.0, depth + 1))
-    return law
-
-
 def test_criterion_08_brute_force_oracle():
     """Exact enumeration against the simulator and the deformed-channel
     moment formula for the two-level walk."""
@@ -252,7 +241,7 @@ def test_criterion_08_brute_force_oracle():
 
     # (a) full displacement law at n = 12 versus the empirical law
     steps = 12
-    law = _enumerate_displacement_law(model, rho0, steps)
+    law = enumerate_displacement_law(model, rho0, steps)
     total = sum(law.values())
     assert abs(total - 1.0) <= 1e-12
     support = np.array(sorted(law.keys()))
@@ -267,16 +256,14 @@ def test_criterion_08_brute_force_oracle():
     disp = ens.displacements[:, 0]
     cdf_emp = np.array([np.mean(disp <= k) for k in support])
     ks = float(np.max(np.abs(cdf_emp - cdf_exact)))
-    # Dvoretzky-Kiefer-Wolfowitz band at the two-sided 4-sigma level
-    p_4sigma = 6.334e-5
-    dkw = np.sqrt(np.log(2.0 / p_4sigma) / (2.0 * n_samples))
+    dkw = dkw_band(n_samples)
     ok_law = ks <= dkw
 
     # (b) moment generating function: enumeration vs iterated deformed channel
     worst_rel = 0.0
     for u in (-1.0, 0.5, 1.0):
         for n in (1, 5, 12):
-            law_n = _enumerate_displacement_law(model, rho0, n)
+            law_n = enumerate_displacement_law(model, rho0, n)
             exact = sum(np.exp(u * k) * p for k, p in law_n.items())
             view = ChannelView.full(model, [u])
             sigma = rho0.copy()

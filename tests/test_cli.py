@@ -708,6 +708,17 @@ class TestInputErrors:
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], base=base)
         assert "input error" in err and message in err and "int64 range" in err
 
+    def test_positions_that_could_wrap(self, tmp_path, capsys):
+        # 40 unit steps from 2^63 - 8 could pass the int64 maximum: the run is
+        # refused before any step, where it once wrote wrapped end positions
+        far = channel.matrix_to_json(np.diag([0.0, 1.0]))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"entries": [{"site": [2**63 - 8], "matrix": far}]}))
+        base = ["--model", fixture("two_state.json"), "--state", str(state)]
+        argv = ["--steps", "40", "--traj", "64", "--seed", "3"]
+        err = self.run(tmp_path, capsys, "simulate", *argv, base=base)
+        assert "input error" in err and "int64 maximum" in err
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -11,18 +11,15 @@ from oqwalk.channel import ChannelView, WalkModel
 from oqwalk.cli import main
 from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import orthonormal_complement
-from oqwalk.simulate import (
-    SimConfig,
-    classify_absorption,
-    martingale_check,
-    run,
-    trajectory_rng,
-)
+from oqwalk.simulate import SimConfig, classify_absorption, run, trajectory_rng
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
 from scalar_walk import TrajectoryState, branch_probabilities, sample_initial, step
 from util import (
     apply,
     basis_subspace,
+    dkw_band,
+    enumerate_displacement_law,
+    martingale_check,
     random_densities,
     random_density,
     random_irreducible_model,
@@ -65,9 +62,8 @@ def force_workers(monkeypatch, workers):
 
 
 def full_and_low_rank(dims):
-    """Each local dimension h with a full-rank start (id "h", the density
-    form) and with a start of rank max(1, h // 4), which steps factors on
-    walks of up to four branches (id "h-low-rank")."""
+    """Each local dimension h with a full-rank start (id "h") and with a
+    start of rank max(1, h // 4) (id "h-low-rank")."""
     return [pytest.param(h, None, id=str(h)) for h in dims] + [
         pytest.param(h, max(1, h // 4), id=f"{h}-low-rank") for h in dims
     ]
@@ -84,6 +80,23 @@ def assert_same_ensemble(a, b):
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
         else:
             assert x == y, f.name
+
+
+def scalar_trajectory(model, rho, seed, index, snapshots, ops, pure=False):
+    """Trajectory ``index`` stepped by ``scalar_walk`` to the last of
+    ``snapshots``: its start and end positions and, per op, the values
+    Tr(A rho_n) at the snapshot steps."""
+    rng = trajectory_rng(seed, index)
+    st = sample_initial(rho, rng, pure)
+    start = st.position
+    values = [[] for _ in ops]
+    for n in range(snapshots[-1] + 1):
+        if n:
+            st = step(st, model, rng)
+        if n in snapshots:
+            for vals, op in zip(values, ops):
+                vals.append(float(np.trace(op @ st.state).real))
+    return start, st.position, values
 
 
 class FixedDraws:
@@ -226,12 +239,24 @@ class TestRun:
         cfg = SimConfig(steps=35, trajectories=24, seed=13)
         ens = run(four_state_module, transient_rho, cfg)
         for idx in (0, 7, 23):
-            rng = trajectory_rng(cfg.seed, idx)
-            st = sample_initial(transient_rho, rng)
-            assert np.array_equal(st.position, ens.initial_positions[idx])
-            for _ in range(cfg.steps):
-                st = step(st, four_state_module, rng)
-            assert np.array_equal(st.position, ens.final_positions[idx])
+            start, end, _ = scalar_trajectory(
+                four_state_module, transient_rho, cfg.seed, idx, [cfg.steps], []
+            )
+            assert np.array_equal(start, ens.initial_positions[idx])
+            assert np.array_equal(end, ens.final_positions[idx])
+        # without tracks, a mixed start steps the eigenvector that the site's
+        # uniform draws; the scalar walk draws the same one
+        rng = np.random.default_rng(13)
+        rho = DiagonalState(
+            {(0,): 0.4 * random_density(rng, 4, 3), (2,): 0.6 * random_density(rng, 4, 2)}
+        )
+        ens = run(four_state_module, rho, cfg)
+        for idx in range(cfg.trajectories):
+            start, end, _ = scalar_trajectory(
+                four_state_module, rho, cfg.seed, idx, [cfg.steps], [], pure=True
+            )
+            assert np.array_equal(start, ens.initial_positions[idx])
+            assert np.array_equal(end, ens.final_positions[idx])
 
     def test_matches_scalar_stepping_planar(self):
         rng = np.random.default_rng(17)
@@ -243,15 +268,11 @@ class TestRun:
         cfg = SimConfig(steps=30, trajectories=16, seed=23, y_stride=6)
         ens = run(model, rho, cfg, tracks={"p": proj})
         for idx in (0, 5, 15):
-            rng_i = trajectory_rng(cfg.seed, idx)
-            st = sample_initial(rho, rng_i)
-            assert np.array_equal(st.position, ens.initial_positions[idx])
-            values = [float(np.trace(proj @ st.state).real)]
-            for n in range(1, cfg.steps + 1):
-                st = step(st, model, rng_i)
-                if n in ens.y_snapshot_steps:
-                    values.append(float(np.trace(proj @ st.state).real))
-            assert np.array_equal(st.position, ens.final_positions[idx])
+            start, end, (values,) = scalar_trajectory(
+                model, rho, cfg.seed, idx, list(ens.y_snapshot_steps), [proj]
+            )
+            assert np.array_equal(start, ens.initial_positions[idx])
+            assert np.array_equal(end, ens.final_positions[idx])
             np.testing.assert_allclose(ens.y_tracks["p"][idx], values, rtol=0, atol=1e-12)
 
     def test_reproducible_digest(self, monkeypatch, four_state_module, edge_absorption):
@@ -343,10 +364,11 @@ class TestRun:
 
     @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (1, 2)], ids=["rank-1", "rank-2", "mixed-rank"])
-    def test_factor_and_density_forms_agree(self, monkeypatch, local_dim, ranks):
-        # both forms step the same trajectories: positions agree exactly (no
+    def test_factor_and_density_forms_agree(self, local_dim, ranks):
+        # a tracked run steps rank-r factors and the scalar walk steps density
+        # matrices of the same trajectories: positions agree exactly (no
         # uniform falls within roundoff of a branch boundary here) and tracks
-        # to roundoff, whichever form the switch would pick
+        # to roundoff
         rng = np.random.default_rng(100 + local_dim)
         model = random_walk_model(rng, local_dim)
         rho = DiagonalState(
@@ -355,46 +377,33 @@ class TestRun:
         proj = np.diag([1.0] * (local_dim // 2) + [0.0] * (local_dim - local_dim // 2))
         tracks = {"p": proj.astype(complex), "q": (np.eye(local_dim) - proj).astype(complex)}
         cfg = SimConfig(steps=60, trajectories=200, seed=local_dim, y_stride=6)
-        ensembles = []
-        for pays in (True, False):
-            monkeypatch.setattr(simulate, "_factors_pay", lambda v, r, h, pays=pays: pays)
-            factors = simulate._site_factors(rho.normalized_sites()[2], model.kraus.shape[0])
-            assert (factors is not None) == pays
-            if pays:
-                assert factors.shape == (len(ranks), max(ranks), local_dim)
-            ensembles.append(run(model, rho, cfg, tracks=tracks))
-        factored, dense = ensembles
-        assert np.array_equal(factored.initial_positions, dense.initial_positions)
-        assert np.array_equal(factored.final_positions, dense.final_positions)
-        for tid in tracks:
-            np.testing.assert_allclose(factored.y_tracks[tid], dense.y_tracks[tid], rtol=0, atol=1e-12)
+        ens = run(model, rho, cfg, tracks=tracks)
+        snapshots = list(ens.y_snapshot_steps)
+        for idx in range(0, cfg.trajectories, 5):
+            start, end, values = scalar_trajectory(
+                model, rho, cfg.seed, idx, snapshots, [tracks["p"], tracks["q"]]
+            )
+            assert np.array_equal(start, ens.initial_positions[idx])
+            assert np.array_equal(end, ens.final_positions[idx])
+            for tid, vals in zip("pq", values):
+                np.testing.assert_allclose(ens.y_tracks[tid][idx], vals, rtol=0, atol=1e-12)
 
-    def test_form_switch(self, four_state_module, transient_rho):
-        # v r <= h steps factors: the rank-1 transient start and a rank-2
-        # start do on the four-level walk (v = 2, h = 4), the rank-3 balanced
-        # start and a full-rank h = 16 start do not
-        v = four_state_module.kraus.shape[0]
-        assert simulate._site_factors(transient_rho.normalized_sites()[2], v).shape == (1, 1, 4)
-        rank_two = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
-        assert simulate._site_factors(rank_two[None], v).shape == (1, 2, 4)
-        balanced = np.diag([0.0, 1 / 3, 1 / 3, 1 / 3]).astype(complex)
-        assert simulate._site_factors(balanced[None], v) is None
-        full = random_density(np.random.default_rng(16), 16)
-        assert simulate._site_factors(full[None], v) is None
-
-    def test_inexact_factors_take_the_density_path(self, monkeypatch, four_state_module):
-        # the eigenvalue 1e-12 lies below the support rule, so the start has
-        # rank 1, but F F* would miss it by 1e-12 > FACTOR_TOL
+    def test_near_pure_site_steps_at_rank_one(self, four_state_module, edge_absorption):
+        # the eigenvalue 1e-12 lies below the support rule: the site steps
+        # the rank-1 factor of its top eigenpair, and the step-0 track reads
+        # Tr(A rho) of the full site matrix to within the dropped weight
         near_pure = np.diag([1.0 - 1e-12, 1e-12, 0.0, 0.0]).astype(complex)
-        pure = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        assert simulate._site_factors(np.array([pure, near_pure]), 2) is None
-        built, densities = [], simulate._Densities
-        monkeypatch.setattr(
-            simulate, "_Densities", lambda *args: built.append(args) or densities(*args)
+        starts, _, _ = simulate._starts(near_pure[None], np.ones(1), pure=False)
+        assert starts.shape == (1, 1, 4)
+        rho = DiagonalState.single_site(near_pure)
+        ens = run(
+            four_state_module,
+            rho,
+            SimConfig(steps=3, trajectories=4, seed=0),
+            tracks={"edge": edge_absorption},
         )
-        rho = DiagonalState({(0,): pure / 2, (1,): near_pure / 2})
-        run(four_state_module, rho, SimConfig(steps=3, trajectories=4, seed=0))
-        assert len(built) == 1
+        exact = float(np.trace(edge_absorption @ near_pure).real)
+        np.testing.assert_allclose(ens.y_tracks["edge"][:, 0], exact, rtol=0, atol=1e-12)
 
     def test_site_failing_the_support_rule_once_normalized(self):
         # the small site passes the absolute Hermiticity check, but divided by
@@ -535,12 +544,26 @@ class TestRun:
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_zero_trace_site_never_drawn(self, two_state, rank):
-        # the site's matrix cannot be normalized; on either state form it is
-        # never drawn and raises no warning
+        # the site's matrix cannot be normalized and has no atoms; it is never
+        # drawn and raises no warning
         mat = random_density(np.random.default_rng(rank), 2, rank)
         rho = DiagonalState({(0,): 0.0 * mat, (1,): mat})
         ens = run(two_state, rho, SimConfig(steps=3, trajectories=50, seed=1))
         assert np.all(ens.initial_positions == 1)
+
+    def test_positions_that_could_wrap_rejected(self, two_state):
+        # positions are int64: max|site| + steps * max|shift| must fit, and a
+        # run exactly at the bound goes ahead without wrapping
+        top = np.iinfo(np.int64).max
+        tau = np.diag([0.0, 1.0]).astype(complex)
+        cfg = SimConfig(steps=40, trajectories=64, seed=3)
+        for site in (top - 39, -(top - 39)):
+            with pytest.raises(ValueError, match="int64 maximum"):
+                run(two_state, DiagonalState.single_site(tau, site=(site,)), cfg)
+        ens = run(two_state, DiagonalState.single_site(tau, site=(top - 40,)), cfg)
+        assert np.all(ens.final_positions >= top - 80)
+        ens = run(two_state, DiagonalState.single_site(tau, site=(-(top - 40),)), cfg)
+        assert np.all(ens.final_positions <= -(top - 80))
 
     def test_zero_steps(self, two_state):
         tau = np.diag([0.0, 1.0]).astype(complex)
@@ -568,16 +591,33 @@ class TestRun:
         assert track.min() >= -1e-9 and track.max() <= 1 + 1e-9
 
 
+def digest(arrays) -> str:
+    """sha256 of the little-endian bytes of ``arrays`` in order."""
+    sha = hashlib.sha256()
+    for arr in arrays:
+        sha.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    return sha.hexdigest()
+
+
 def ensemble_digest(ens) -> str:
     """sha256 of every array a run returns: positions, tracks in id order and
     horizon cuts in horizon order."""
-    digest = hashlib.sha256()
     arrays = [ens.initial_positions, ens.final_positions]
     arrays += [ens.y_tracks[t] for t in sorted(ens.y_tracks)]
     arrays += [ens.horizon_positions[n] for n in sorted(ens.horizon_positions)]
-    for arr in arrays:
-        digest.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    return digest.hexdigest()
+    return digest(arrays)
+
+
+def position_digest(ens) -> str:
+    """sha256 of a run's positions: start, end, then horizon cuts in horizon
+    order."""
+    cuts = [ens.horizon_positions[n] for n in sorted(ens.horizon_positions)]
+    return digest([ens.initial_positions, ens.final_positions] + cuts)
+
+
+def track_digest(ens) -> str:
+    """sha256 of a run's tracks in id order."""
+    return digest([ens.y_tracks[t] for t in sorted(ens.y_tracks)])
 
 
 def row_choice(probs, u):
@@ -646,26 +686,29 @@ class TestBranchChoice:
             simulate._choose_branches(probs, rng.random(20))
 
     def test_nine_branch_density_digest(self, monkeypatch):
-        # both digests were pinned while the branch choice still made row-wise
-        # passes over (c, v) arrays; the column form must keep every bit
+        # pinned while the branch choice still made row-wise passes over (c, v)
+        # arrays and this full-rank start stepped density matrices: the
+        # positions keep every bit; the tracks, now read off rank-3 factors,
+        # were re-pinned after agreeing with the density values to 1e-15
         model = random_irreducible_model(19, 3, shifts=[[k] for k in range(-4, 5)])
         rng = np.random.default_rng(19)
         rho = DiagonalState({(0,): random_density(rng, 3) / 2, (2,): random_density(rng, 3) / 2})
-        assert simulate._site_factors(rho.normalized_sites()[2], 9) is None
         monkeypatch.setattr(simulate, "CHUNK", 64)
         monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
         cfg = SimConfig(steps=70, trajectories=150, seed=5, y_stride=10, horizons=(25,))
         proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
         ens = run(model, rho, cfg, tracks={"p": proj})
-        assert ensemble_digest(ens) == (
-            "04f574558fe23dc81363c94f4f8cb26038b439ae1b17893559aa4fc96ec6da0b"
+        assert position_digest(ens) == (
+            "1df47862bfc3243a423cb37d950093e2f0ea7b42d3aa8f4941f08cdbd2a14f95"
+        )
+        assert track_digest(ens) == (
+            "c6fd31fdafba596de7b92b491fef15a0e9e9c767d85255b636cdeec51f3cd099"
         )
 
     def test_three_branch_factor_digest(self, monkeypatch):
         model = random_irreducible_model(23, 4, shifts=[[-1], [0], [2]])
         rng = np.random.default_rng(23)
         rho = DiagonalState.single_site(random_density(rng, 4, 1))
-        assert simulate._site_factors(rho.normalized_sites()[2], 3).shape == (1, 1, 4)
         monkeypatch.setattr(simulate, "CHUNK", 64)
         monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
         cfg = SimConfig(steps=70, trajectories=150, seed=6, y_stride=10, horizons=(33,))
@@ -676,60 +719,52 @@ class TestBranchChoice:
         )
 
 
-class TestApplyBranches:
-    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
-    def test_matches_plain_product(self, local_dim):
-        rng = np.random.default_rng(50 + local_dim)
-        kraus = random_walk_model(rng, local_dim, lattice_dim=2).kraus
-        states = np.array(random_densities(local_dim, local_dim, 40))
-        chosen = rng.integers(0, 3, 40)  # branch 3 draws no trajectory
-        out = states.copy()
-        simulate._apply_branches(
-            out,
-            chosen,
-            np.ascontiguousarray(kraus.transpose(0, 2, 1)),
-            np.ascontiguousarray(kraus.conj().transpose(0, 2, 1)),
-        )
-        plain = np.array([kraus[j] @ s @ kraus[j].conj().T for j, s in zip(chosen, states)])
-        if local_dim in (4, 8):
-            assert np.array_equal(out, plain)
+class TestPureStartLaw:
+    """Without tracks, a mixed start steps one eigenvector psi_k of its site,
+    drawn with probability lambda_k; the positions keep the law of the mixed
+    start."""
+
+    @pytest.mark.parametrize("start", ["two-level-full-rank", "four-level-rank-2"])
+    def test_displacement_law_matches_enumeration(self, start):
+        # within criterion 08(a)'s 4-sigma DKW band; stepping only the top
+        # eigenvector, or weighting the eigenvectors equally, misses the exact
+        # law by 0.02-0.04 in either case, twice the band or more
+        steps, n_samples = 12, 50_000
+        if start == "two-level-full-rank":
+            model = models.two_state_biased_walk()
+            rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
         else:
-            np.testing.assert_allclose(out, plain, rtol=0, atol=1e-14)
+            model = models.four_state_family(1 / 6, 1 / 6, 1 / 6)
+            rho0 = random_density(np.random.default_rng(12), 4, 2)
+        law = enumerate_displacement_law(model, rho0, steps)
+        support = np.array(sorted(law))
+        cdf_exact = np.cumsum([law[k] for k in support])
+        ens = run(model, DiagonalState.single_site(rho0), SimConfig(steps, n_samples, seed=12))
+        disp = np.sort(ens.displacements[:, 0])
+        cdf_emp = np.searchsorted(disp, support, side="right") / n_samples
+        assert np.max(np.abs(cdf_emp - cdf_exact)) <= dkw_band(n_samples)
 
 
 class TestFactors:
     @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
-    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("rank", [1, 2, pytest.param(None, id="full")])
     def test_rows_do_not_depend_on_chunk_size(self, local_dim, rank):
         # a chunk of one state must give the bits it gets among others: numpy
         # hands a single row to gemv, which rounds otherwise than gemm
         rng = np.random.default_rng(70 + local_dim)
-        factors = simulate._Factors(random_walk_model(rng, local_dim).kraus, None)
-        shape = (9, rank, local_dim)
+        kraus = random_walk_model(rng, local_dim).kraus
+        stacked = np.hstack(kraus.transpose(0, 2, 1))
+        shape = (9, rank or local_dim, local_dim)
         states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         op = random_density(rng, local_dim)
-        probs, products = factors.branches(states)
-        tracks = factors.track(op, states)
+        probs, products = simulate._branch_probabilities(states, stacked)
+        tracks = simulate._track(op, states)
         for i in range(len(states)):
             one = states[i : i + 1].copy()
-            assert np.array_equal(factors.branches(one)[1], products[i : i + 1])
-            assert np.array_equal(factors.branches(one)[0], probs[i : i + 1])
-            assert np.array_equal(factors.track(op, one), tracks[i : i + 1])
-
-
-class TestDensities:
-    @pytest.mark.parametrize("local_dim", [2, 3, 4, 5, 8])
-    def test_probabilities_do_not_depend_on_chunk_size(self, local_dim):
-        # each state's branch probabilities must be the bits it gets inside a
-        # long chunk, whatever the row count of its own chunk
-        rng = np.random.default_rng(90 + local_dim)
-        densities = simulate._Densities(random_walk_model(rng, local_dim).kraus, None)
-        states = np.array([random_density(rng, local_dim) for _ in range(300)])
-        probs = densities.branches(states)[0]
-        for width in (1, 2, 3, 5, 7):
-            for lo in range(0, 300 - width, 37):
-                window = states[lo : lo + width].copy()
-                assert np.array_equal(densities.branches(window)[0], probs[lo : lo + width])
+            one_probs, one_products = simulate._branch_probabilities(one, stacked)
+            assert np.array_equal(one_products, products[i : i + 1])
+            assert np.array_equal(one_probs, probs[i : i + 1])
+            assert np.array_equal(simulate._track(op, one), tracks[i : i + 1])
 
 
 class TestMartingale:

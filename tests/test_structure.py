@@ -13,7 +13,6 @@ from oqwalk import asymptotics, channel, models, structure
 from oqwalk.channel import ChannelView, WalkModel, to_matrix
 from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace, orthonormal_complement
-from oqwalk.simulate import martingale_check
 from oqwalk.structure import (
     DiagonalState,
     absorption,
@@ -25,7 +24,13 @@ from oqwalk.structure import (
     transient_space,
     weights,
 )
-from util import basis_subspace, random_densities, random_density, subspace_angle
+from util import (
+    basis_subspace,
+    martingale_check,
+    random_densities,
+    random_density,
+    subspace_angle,
+)
 
 
 def _benchmark_generator():

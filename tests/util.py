@@ -20,6 +20,45 @@ def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
+def martingale_check(model: WalkModel, observable: np.ndarray, states: list) -> float:
+    """Worst one-step violation of E[Tr(A rho_{n+1}) | rho_n] = Tr(A rho_n).
+
+    The conditional expectation collapses algebraically to
+    sum_j Tr(A L_j rho L_j*), so this is an exact identity check (no
+    sampling) that the observable is harmonic.
+    """
+    a = np.asarray(observable, dtype=complex)
+    worst = 0.0
+    for rho in states:
+        stepped = sum(
+            float(np.trace(a @ (l @ rho @ l.conj().T)).real) for l in model.kraus
+        )
+        worst = max(worst, abs(stepped - float(np.trace(a @ rho).real)))
+    return worst
+
+
+def enumerate_displacement_law(model: WalkModel, rho0: np.ndarray, steps: int) -> dict:
+    """Exact law of the displacement along the first axis after ``steps``
+    steps from the unit-trace ``rho0``, by enumerating every branch sequence."""
+    law = {}
+    stack = [(rho0, 0, 0)]  # state (unnormalized), displacement, depth
+    while stack:
+        state, disp, depth = stack.pop()
+        if depth == steps:
+            law[disp] = law.get(disp, 0.0) + float(np.trace(state).real)
+            continue
+        for shift, kraus in zip(model.shifts[:, 0], model.kraus):
+            stack.append((kraus @ state @ kraus.conj().T, disp + int(shift), depth + 1))
+    return law
+
+
+def dkw_band(n_samples: int) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz band of an empirical CDF of ``n_samples``
+    draws at the two-sided 4-sigma level."""
+    p_4sigma = 6.334e-5
+    return float(np.sqrt(np.log(2.0 / p_4sigma) / (2.0 * n_samples)))
+
+
 def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
     """Random density matrix of rank ``rank`` (full rank by default)."""
     cols = dim if rank is None else rank
