@@ -1,10 +1,13 @@
 """One-trajectory-at-a-time reference simulator.
 
-The oracle of the batched engine in ``oqwalk.simulate.run``: fed the same
-per-trajectory stream (``simulate.trajectory_rng``), it draws the same site
-(and, for a run without tracks, the same eigenvector of it) and the same
-Kraus indices, so positions must agree exactly. It steps density matrices,
-where the engine steps factors of them.
+The oracle of the batched engine in ``oqwalk.simulate.run``. Trajectory i
+of a run seeded with ``seed`` draws from ``reference_stream(seed, i)``, a
+``Generator`` over ``Philox(SeedSequence((seed, i)))`` that numpy builds
+itself, not ``simulate.trajectory_rng``, which derives the same Philox keys
+in its own code: first the start's uniform, then one per step. Fed this
+stream, the oracle draws the same site (and, for a run without tracks, the
+same eigenvector of it) and the same Kraus indices, so positions must agree
+exactly. It steps density matrices, where the engine steps factors of them.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,12 @@ from oqwalk.structure import DiagonalState
 class TrajectoryState:
     position: np.ndarray  # (d,) integers
     state: np.ndarray  # (h, h) unit-trace positive matrix
+
+
+def reference_stream(seed: int, index: int) -> np.random.Generator:
+    """The uniforms that trajectory ``index`` of a run seeded with ``seed``
+    draws, in order: the start's, then one per step."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
 def branch_probabilities(model: WalkModel, state: np.ndarray) -> np.ndarray:

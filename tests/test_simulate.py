@@ -11,9 +11,15 @@ from oqwalk.channel import ChannelView, WalkModel
 from oqwalk.cli import main
 from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import orthonormal_complement
-from oqwalk.simulate import SimConfig, classify_absorption, run, trajectory_rng
+from oqwalk.simulate import SimConfig, classify_absorption, run
 from oqwalk.structure import DiagonalState, absorption, recurrent_space
-from scalar_walk import TrajectoryState, branch_probabilities, sample_initial, step
+from scalar_walk import (
+    TrajectoryState,
+    branch_probabilities,
+    reference_stream,
+    sample_initial,
+    step,
+)
 from util import (
     apply,
     basis_subspace,
@@ -86,7 +92,7 @@ def scalar_trajectory(model, rho, seed, index, snapshots, ops, pure=False):
     """Trajectory ``index`` stepped by ``scalar_walk`` to the last of
     ``snapshots``: its start and end positions and, per op, the values
     Tr(A rho_n) at the snapshot steps."""
-    rng = trajectory_rng(seed, index)
+    rng = reference_stream(seed, index)
     st = sample_initial(rho, rng, pure)
     start = st.position
     values = [[] for _ in ops]
@@ -100,16 +106,15 @@ def scalar_trajectory(model, rho, seed, index, snapshots, ops, pure=False):
 
 
 class FixedDraws:
-    """Generator stand-in whose every uniform is ``u``."""
+    """Bit generator stand-in whose every raw word makes the uniform ``u``,
+    a multiple of 2**-53."""
 
     def __init__(self, u):
-        self.u = u
+        self.word = np.uint64(int(u * 2**53) << 11)
+        assert (self.word >> 11) * 2.0**-53 == u
 
-    def random(self, out=None):
-        if out is None:
-            return self.u
-        out.fill(self.u)
-        return out
+    def random_raw(self, size):
+        return np.full(size, self.word)
 
 
 def cut_model():
@@ -125,7 +130,7 @@ def cut_model():
 def draws_from(first, u):
     """``trajectory_rng`` whose trajectories from index ``first`` on draw ``u``
     and the others 0.25, which keeps ``cut_model`` on e_0 with branch 1."""
-    return lambda seed, index: FixedDraws(u if index >= first else 0.25)
+    return lambda seed, lo, hi: [FixedDraws(u if i >= first else 0.25) for i in range(lo, hi)]
 
 
 class TestSampleInitial:
@@ -289,6 +294,19 @@ class TestRun:
             digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
         assert digest.hexdigest() == (
             "1786c4e9df798376fe8469670723adc5cd9acffc57ae605faee87bc104afbcf6"
+        )
+
+    def test_reproducible_digest_large_seed(self, monkeypatch, four_state_module, edge_absorption):
+        # pinned before the chunk keys were derived in simulate's own code: a
+        # seed of 2**40 takes two entropy words, so every stream falls back to
+        # a SeedSequence of its own
+        rho = DiagonalState({(0,): np.diag([0.5, 0, 0, 0]), (5,): np.diag([0, 0, 0, 0.5])})
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
+        cfg = SimConfig(steps=40, trajectories=100, seed=2**40, y_stride=10)
+        ens = run(four_state_module, rho, cfg, tracks={"edge": edge_absorption})
+        assert ensemble_digest(ens) == (
+            "d87e69c1fd70f89f511bd3064063361fe190fc3db05813639c71920f5a5bc0a6"
         )
 
     def test_reproducible_digest_two_workers(self, monkeypatch, four_state_module, edge_absorption):
@@ -474,12 +492,12 @@ class TestRun:
         before = [get() for get, _ in blas]
         caller = []
 
-        def rng(seed, index):
+        def rng(seed, lo, hi):
             counts = [get() for get, _ in blas]
-            if index >= 4:  # the child's slice reports its counts as an error
+            if lo >= 4:  # the child's slice reports its counts as an error
                 raise NumericalDegeneracyError(str(counts))
             caller.append(counts)
-            return FixedDraws(0.25)
+            return [FixedDraws(0.25)] * (hi - lo)
 
         monkeypatch.setattr(simulate, "trajectory_rng", rng)
         forked = force_workers(monkeypatch, 2)
@@ -487,7 +505,7 @@ class TestRun:
             run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 8, 0))
         assert len(forked) == 1
         assert str(caught.value) == str([1] * len(blas))
-        assert caller == [[1] * len(blas)] * 4
+        assert caller == [[1] * len(blas)]  # one call for the caller's one chunk
         assert [get() for get, _ in blas] == before
 
     @pytest.mark.parametrize("size", ["analysis_h16", "smoke", "few_trajectories"])
@@ -538,7 +556,9 @@ class TestRun:
         probs = branch_probabilities(model, e0)
         assert probs[-1] == 0.0 and np.cumsum(probs / probs.sum())[-1] < u
 
-        monkeypatch.setattr(simulate, "trajectory_rng", lambda seed, index: FixedDraws(u))
+        monkeypatch.setattr(
+            simulate, "trajectory_rng", lambda seed, lo, hi: [FixedDraws(u)] * (hi - lo)
+        )
         with pytest.raises(NumericalDegeneracyError, match="selected branch has vanishing probability"):
             run(model, DiagonalState.single_site(e0), SimConfig(steps=3, trajectories=4, seed=0))
 
@@ -589,6 +609,104 @@ class TestRun:
         )
         track = ens.y_tracks["edge"]
         assert track.min() >= -1e-9 and track.max() <= 1 + 1e-9
+
+
+class CountedDraws:
+    """A bit generator that records the size of every ``random_raw`` call."""
+
+    def __init__(self, stream, calls):
+        self.stream, self.calls = stream, calls
+
+    def random_raw(self, size):
+        self.calls.append(size)
+        return self.stream.random_raw(size)
+
+
+class TestStreams:
+    """``trajectory_rng`` keys a chunk's Philox streams in its own code; each
+    must be the stream numpy makes for (seed, index)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_keys_match_seed_sequence(self, seed):
+        # the last chunk crosses the index 2**32, from which an index takes
+        # two entropy words and its own SeedSequence
+        for lo, hi in [(0, 40), (2**31 - 2, 2**31 + 2), (2**32 - 3, 2**32 + 3)]:
+            streams = simulate.trajectory_rng(seed, lo, hi)
+            assert len(streams) == hi - lo
+            for i, g in zip(range(lo, hi), streams):
+                key = np.random.SeedSequence(entropy=(seed, i)).generate_state(2, np.uint64)
+                state = g.state["state"]
+                assert np.array_equal(state["key"], key), (seed, i)
+                assert not state["counter"].any()
+                fallback = seed >= 2**32 or i >= 2**32
+                assert isinstance(g.seed_seq, np.random.SeedSequence) == fallback
+
+    @pytest.mark.parametrize("seed", [7, 2**40])
+    def test_uniforms_follow_numpy_random(self, monkeypatch, seed):
+        # 2 * DRAW_BLOCK + 3 steps take three draw calls per trajectory: the
+        # start's uniform with the first block, a whole block, then 3
+        n_steps = 2 * simulate.DRAW_BLOCK + 3
+        drawn, calls = [], {}
+        uniforms, streams = simulate._uniforms, simulate.trajectory_rng
+
+        def recording_uniforms(words):
+            out = uniforms(words)
+            drawn.append(out.copy())
+            return out
+
+        def counted_streams(seed, lo, hi):
+            chunk = zip(range(lo, hi), streams(seed, lo, hi))
+            return [CountedDraws(g, calls.setdefault(i, [])) for i, g in chunk]
+
+        monkeypatch.setattr(simulate, "_uniforms", recording_uniforms)
+        monkeypatch.setattr(simulate, "trajectory_rng", counted_streams)
+        model = models.two_state_biased_walk()
+        run(model, DiagonalState.single_site(np.eye(2) / 2), SimConfig(n_steps, 5, seed))
+        block = simulate.DRAW_BLOCK
+        assert calls == {i: [1 + block, block, 3] for i in range(5)}
+        drawn = np.concatenate(drawn, axis=1)
+        for i in range(5):
+            assert np.array_equal(drawn[i], reference_stream(seed, i).random(1 + n_steps))
+
+    def test_no_seed_sequence_below_2_32(self, monkeypatch, four_state_module, transient_rho):
+        # a SeedSequence per stream takes about three times what the keyed path does
+        seed_sequence, built, streams = np.random.SeedSequence, [], []
+        rng = simulate.trajectory_rng
+
+        def counting_seed_sequence(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        def recorded_streams(seed, lo, hi):
+            chunk = rng(seed, lo, hi)
+            streams.extend(chunk)
+            return chunk
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        monkeypatch.setattr(simulate, "trajectory_rng", recorded_streams)
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        for seed, expected in [(2**32 - 1, 0), (2**32, 150)]:
+            built.clear()
+            run(four_state_module, transient_rho, SimConfig(steps=5, trajectories=150, seed=seed))
+            assert len(built) == expected
+        keyed = [isinstance(g.seed_seq, seed_sequence) for g in streams]
+        assert keyed == [False] * 150 + [True] * 150
+
+    @pytest.mark.parametrize(
+        "seed", [1.7, 1.0, np.float64(2.0), True, np.bool_(False), -1, np.int64(-3), "3", None]
+    )
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SimConfig(steps=3, trajectories=4, seed=seed)
+
+    def test_numpy_integer_seeds_accepted(self, four_state_module, transient_rho):
+        ensembles = [
+            run(four_state_module, transient_rho, SimConfig(steps=20, trajectories=30, seed=seed))
+            for seed in (5, np.int64(5), np.uint32(5))
+        ]
+        for other in ensembles[1:]:
+            assert np.array_equal(ensembles[0].initial_positions, other.initial_positions)
+            assert np.array_equal(ensembles[0].final_positions, other.final_positions)
 
 
 def digest(arrays) -> str:
