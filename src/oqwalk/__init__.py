@@ -6,4 +6,4 @@ The package exports its modules; import names from them, for example
 
 from . import asymptotics, channel, empirics, linalg, simulate, structure
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

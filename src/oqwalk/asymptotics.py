@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelView, PerronData, WalkModel, perron, unvec, vec
+from .channel import ChannelView, PerronData, WalkModel, hunvec, hvec, perron
 from .errors import NoConvergenceError, NumericalDegeneracyError, SingularMatrixError
 from .linalg import (
     Subspace,
-    hermitian_part,
     project_subspace,
     solve_linear,
     subspace_intersection,
@@ -129,32 +128,31 @@ class _PerronCalculus:
 
     def __init__(self, view: ChannelView, pd: PerronData):
         self.view, self.lam = view, pd.value
-        self.pairing = float(np.trace(pd.dual_weight @ pd.state).real)
+        self.tau, self.w = hvec(pd.state), hvec(pd.dual_weight)
+        self.pairing = float(self.w @ self.tau)
         if self.pairing <= 1e-10:
             raise NoConvergenceError("left/right eigenvector pairing degenerate")
         kr = view.compressed_kraus
         kr_dag = kr.conj().transpose(0, 2, 1)
-        k2 = view.dim * view.dim
-        # column-major vec of each term: K_i tau K_i* and the dual K_i* W K_i
-        self.terms_tau = (kr @ pd.state @ kr_dag).transpose(0, 2, 1).reshape(-1, k2)
-        self.terms_w = (kr_dag @ pd.dual_weight @ kr).transpose(0, 2, 1).reshape(-1, k2)
-        self.tau, self.w = vec(pd.state), vec(pd.dual_weight)
+        # coordinates of each term: K_i tau K_i* and the dual K_i* W K_i
+        self.terms_tau = hvec(kr @ pd.state @ kr_dag)
+        self.terms_w = hvec(kr_dag @ pd.dual_weight @ kr)
         self.shifts = view.model.shifts.astype(float)
         self.ws = view.weights[:, None] * self.shifts  # e^{u.s_i} s_ij
-        self.paired = (self.terms_tau @ self.w.conj()).real  # <w, K_i tau K_i*>
+        self.paired = self.terms_tau @ self.w  # <w, K_i tau K_i*>
         self.lam_j = self.ws.T @ self.paired / self.pairing
 
     def poisson(self) -> np.ndarray:
-        """The vectorized tau_k as columns, from one bordered solve; raises
-        SingularMatrixError when the dominant eigenvalue is degenerate."""
+        """The coordinates of tau_k as columns, from one bordered solve;
+        raises SingularMatrixError when the dominant eigenvalue is degenerate."""
         tau, w = self.tau, self.w
         bord = self.lam * np.eye(tau.size) - self.view.matrix
-        bord += np.outer(tau, w.conj()) / self.pairing
+        bord += np.outer(tau, w) / self.pairing
         return solve_linear(bord, self.terms_tau.T @ self.ws - np.outer(tau, self.lam_j))
 
     def second(self, tau_k: np.ndarray) -> np.ndarray:
         """lam_jk from the columns tau_k of ``poisson``."""
-        cross = ((self.ws.T @ self.terms_w.conj()) @ tau_k).real  # <w, T_j tau_k>
+        cross = (self.ws.T @ self.terms_w) @ tau_k  # <w, T_j tau_k>
         moment = self.ws.T @ (self.shifts * self.paired[:, None])  # <w, T_jk tau>
         return (moment + cross + cross.T) / self.pairing
 
@@ -196,8 +194,7 @@ def poisson_solve(
     if calc.view.dim == 1:
         etas = np.zeros((len(directions), 1, 1), dtype=complex)
     else:
-        columns = calc.poisson() @ directions.T
-        etas = np.array([hermitian_part(unvec(col)) for col in columns.T])
+        etas = hunvec((calc.poisson() @ directions.T).T)
         trace = np.max(np.abs(np.trace(etas, axis1=1, axis2=2)))
         if trace > 1e-10:
             raise NoConvergenceError(f"trace of Poisson solution {trace:.2e}")
@@ -210,7 +207,7 @@ def _clt_derivatives(model: WalkModel, enclosure: Subspace):
     and one bordered solve."""
     calc = _enclosure_calculus(model, enclosure)
     etas = poisson_solve(model, enclosure, np.eye(model.lattice_dim), calculus=calc)
-    return calc.lam_j, calc.second(np.stack([vec(eta) for eta in etas], axis=1))
+    return calc.lam_j, calc.second(hvec(etas).T)
 
 
 def lambda_derivatives(model: WalkModel, enclosure: Subspace, u) -> tuple[float, float]:

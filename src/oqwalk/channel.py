@@ -6,27 +6,30 @@ sigma -> sum_i L_i sigma L_i*. Compressing to a subspace means replacing each
 L_i by its compression to that subspace; exponential deformation in direction
 u in R^d reweights the i-th term by exp(u . s_i).
 
-Superoperator matrices use column-major vectorization throughout:
-vec(A X B) = (B^T kron A) vec(X), so the channel matrix is
-sum_i w_i kron(conj(L_i), L_i) and the dual channel matrix is its conjugate
-transpose. A view builds its superoperator once (``ChannelView.matrix``), and
-every Perron step, bordered solve and fixed-point analysis of that view reads
-the same matrix. ``perron`` takes both Perron vectors from the left and right
-eigenvectors of the dominant cluster in its one eigensolve.
+Each of these maps preserves Hermiticity, so in an orthonormal Hermitian
+operator basis it is a real matrix, and its dual (Heisenberg) map is the
+transpose. This module alone knows the basis: E_aa, then (E_ab + E_ba)/sqrt 2,
+then i(E_ab - E_ba)/sqrt 2 for a < b. ``hvec`` takes stacks of Hermitian
+operators to real coordinates, whose dot product is the Hilbert-Schmidt one,
+and ``hunvec`` takes them back. A view builds its real superoperator once
+(``ChannelView.matrix``); every Perron step, bordered solve and fixed-point
+analysis of the view reads it or its transpose. ``perron`` takes both Perron
+vectors from one eigensolve.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NoConvergenceError, NotTracePreservingError
-from .linalg import Subspace, _dominant_index, hermitian_part
+from .linalg import Subspace, _dominant_index
 
 TOL_TRACE_PRESERVING = 1e-9
 TOL_PSD = 1e-8  # negative eigenvalue and trace a Perron vector may carry
@@ -63,14 +66,34 @@ def lattice_coords(values, what: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.asarray(a, dtype=complex).reshape(-1, order="F")
+@cache
+def _hermitian_basis(k: int) -> np.ndarray:
+    """The basis operators, in order, as rows of their row-major entries."""
+    a, b = np.triu_indices(k, 1)
+    diag, sym, anti = np.arange(k), np.arange(k, k + a.size), np.arange(k + a.size, k * k)
+    e = np.zeros((k * k, k, k), dtype=complex)
+    e[diag, diag, diag] = 1.0
+    e[sym, a, b] = e[sym, b, a] = np.sqrt(0.5)
+    e[anti, a, b], e[anti, b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    e = e.reshape(k * k, k * k)
+    e.flags.writeable = False
+    return e
 
 
-def unvec(x: np.ndarray) -> np.ndarray:
-    n = int(round(np.sqrt(x.size)))
-    return np.asarray(x, dtype=complex).reshape((n, n), order="F")
+def hvec(a) -> np.ndarray:
+    """Real coordinates (..., k^2) of Hermitian (..., k, k) operators, c_j =
+    Tr(B_j a); of an operator that is not Hermitian, those of its Hermitian part."""
+    a = np.asarray(a).swapaxes(-1, -2)  # Tr(B a) pairs B's entries with a^T's
+    flat = a.reshape(*a.shape[:-2], a.shape[-1] ** 2)
+    return (flat @ _hermitian_basis(a.shape[-1]).T).real.copy()
+
+
+def hunvec(c) -> np.ndarray:
+    """The Hermitian (..., k, k) operators sum_j c_j B_j of a stack of real
+    coordinates (..., k^2); inverse of ``hvec``."""
+    c = np.asarray(c)
+    k = math.isqrt(c.shape[-1])
+    return (c @ _hermitian_basis(k)).reshape(*c.shape[:-1], k, k)
 
 
 @dataclass(frozen=True)
@@ -207,40 +230,31 @@ class ChannelView:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The superoperator ``to_matrix(self)``, built on first use and
-        shared by every later reader, so it is read-only."""
+        """The real superoperator ``to_matrix(self)``, built on first use
+        and shared by every later reader, so it is read-only. Its transpose
+        is the matrix of the dual channel."""
         m = to_matrix(self)
         m.flags.writeable = False
         return m
 
 
-def apply_dual(view: ChannelView, x: np.ndarray) -> np.ndarray:
-    """Dual (Heisenberg) action: sum_i e^{u.s_i} K_i* x K_i."""
-    x = np.asarray(x, dtype=complex)
-    k = view.dim
-    if x.shape != (k, k):
-        raise ValueError(f"expected {k}x{k} operator, got {x.shape}")
-    out = np.zeros((k, k), dtype=complex)
-    for w, kr in zip(view.weights, view.compressed_kraus):
-        out += w * (kr.conj().T @ x @ kr)
-    return out
-
-
 def to_matrix(view: ChannelView) -> np.ndarray:
-    """Superoperator matrix in the column-major vectorization convention.
-
-    All kron(conj(K_i), K_i) come from one broadcast product, entry for entry
-    the product np.kron forms; the weighted terms are then added from zeros
-    in Kraus order. Callers read ``view.matrix``, which builds it once.
-    """
+    """Real superoperator matrix in the Hermitian basis: Re(conj(E) S E^T),
+    entry (j, l) being Tr(B_j T(B_l)), with E the basis operators' row-major
+    entries as rows and S = sum_i e^{u.s_i} kron(K_i, conj(K_i)). The
+    Kronecker products come from one broadcast product, entry for entry those
+    np.kron forms, and are added from zeros in Kraus order. Callers read
+    ``view.matrix``, which builds it once."""
     k, kr = view.dim, view.compressed_kraus
-    terms = (kr.conj()[:, :, None, :, None] * kr[:, None, :, None, :]).reshape(
+    terms = (kr[:, :, None, :, None] * kr.conj()[:, None, :, None, :]).reshape(
         len(kr), k * k, k * k
     )
     m = np.zeros((k * k, k * k), dtype=complex)
     for w, term in zip(view.weights, terms):
         m += w * term
-    return m
+    del terms, term  # free k^4 entries per Kraus term before the basis change
+    e = _hermitian_basis(k)
+    return (e.conj() @ m @ e.T).real.copy()
 
 
 @dataclass(frozen=True)
@@ -294,31 +308,33 @@ def perron(view: ChannelView) -> PerronData:
 
     cluster = np.abs(vals - value) <= 1e-8 * max(abs(value), 1.0)
     left, right = left[:, cluster], right[:, cluster]
-    seed = vec(np.eye(view.dim, dtype=complex) / view.dim)
+    seed = hvec(np.eye(view.dim) / view.dim)
     gram = left.conj().T @ right
     try:
         tau = right @ np.linalg.solve(gram, left.conj().T @ seed)
         w = left @ np.linalg.solve(gram.conj().T, right.conj().T @ seed)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError("dominant spectral cluster is defective") from exc
-    # the residual scale; m and its adjoint have the same Frobenius norm, bit for bit
+    # the residual scale; m and its transpose have the same Frobenius norm
     scale = max(np.linalg.norm(m), 1.0)
     tau = _positive_eigenvector(m, value, tau, scale, "eigenvector")
-    w = _positive_eigenvector(m.conj().T, value, w, scale, "dual eigenvector")
+    w = _positive_eigenvector(m.T, value, w, scale, "dual eigenvector")
     tau = tau / float(np.trace(tau).real)  # unit trace; w keeps unit norm
     return PerronData(value=value, state=tau, dual_weight=w, eigenvalues=vals)
 
 
 def _positive_eigenvector(m, value, x, scale, name):
-    """The vectorized ``x`` as a unit-norm Hermitian matrix, checked to be a
-    PSD eigenvector of m for ``value`` with a residual of at most 1e-9 *
-    ``scale``; NoConvergenceError otherwise."""
-    t = hermitian_part(unvec(x))
-    norm = np.linalg.norm(t)
+    """The coordinates ``x`` (real up to roundoff: m and the seed are real) as
+    a unit-norm Hermitian operator, checked to be a PSD eigenvector of m for
+    ``value`` with a residual of at most 1e-9 * ``scale``; NoConvergenceError
+    otherwise."""
+    x = x.real
+    norm = np.linalg.norm(x)
     if norm >= 1e-12:
-        t = t / norm
+        x = x / norm
+        t = hunvec(x)
         if (
-            np.linalg.norm(unvec(m @ vec(t)) - value * t) <= 1e-9 * scale
+            np.linalg.norm(m @ x - value * x) <= 1e-9 * scale
             and float(np.min(np.linalg.eigvalsh(t))) >= -TOL_PSD
             and float(np.trace(t).real) > TOL_PSD
         ):

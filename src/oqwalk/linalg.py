@@ -1,6 +1,6 @@
-"""Dense complex linear algebra kernel for small dimensions.
+"""Dense linear algebra kernel for small dimensions.
 
-Everything here operates on plain numpy arrays (complex128). Subspaces are
+Everything here operates on plain numpy arrays. Subspaces are
 carried around as matrices whose columns form an orthonormal basis, which
 keeps compressions (``basis.conj().T @ operator @ basis``) one-liners.
 
@@ -111,8 +111,6 @@ def _dominant_index(vals: np.ndarray) -> int:
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for square a, rejecting rank-deficient systems."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise SingularMatrixError(

@@ -144,13 +144,15 @@ class SimConfig:
     horizons: tuple = ()
 
     def __post_init__(self):
-        if self.steps < 0 or self.trajectories < 1 or self.y_stride < 1:
-            raise ValueError("invalid simulation configuration")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"the seed must be an integer >= 0, got {seed!r}")
-        if not all(0 <= n <= self.steps for n in self.horizons):
-            raise ValueError(f"horizons must lie in [0, {self.steps}]: {self.horizons}")
+        # a bool or a float is refused, a numpy integer accepted
+        def integer(v):
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+        for name, low in (("steps", 0), ("trajectories", 1), ("y_stride", 1), ("seed", 0)):
+            if not integer(value := getattr(self, name)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not all(integer(n) and 0 <= n <= self.steps for n in self.horizons):
+            raise ValueError(f"horizons must be integers in [0, {self.steps}]: {self.horizons!r}")
 
 
 @dataclass(frozen=True)

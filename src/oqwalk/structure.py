@@ -23,13 +23,12 @@ import numpy as np
 from .channel import (
     ChannelView,
     WalkModel,
-    apply_dual,
+    hunvec,
+    hvec,
     lattice_coords,
     matrix_from_json,
     matrix_to_json,
     perron,
-    unvec,
-    vec,
 )
 from .errors import NumericalDegeneracyError
 from .linalg import (
@@ -182,7 +181,7 @@ def enclosure_defect(model: WalkModel, subspace: Subspace) -> float:
 
 
 def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -> list:
-    """Orthonormal Hermitian basis of the eigenvalue-1 eigenspace of a superoperator."""
+    """Orthonormal Hermitian basis of the eigenvalue-1 eigenspace of a real superoperator."""
     vals, vecs = np.linalg.eig(m)
     dist = np.abs(vals - 1.0)
     close = dist <= TOL_FIXED
@@ -190,25 +189,11 @@ def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -
         raise NumericalDegeneracyError(
             "eigenvalues too close to 1 to resolve the fixed space"
         )
-    mats = [unvec(vecs[:, j]) for j in np.flatnonzero(close)]
-    candidates = []
-    for t in mats:
-        candidates.append(hermitian_part(t))
-        candidates.append(hermitian_part(1j * t))
-    if not candidates:
-        return []
-    # orthonormalize the real span (Hilbert-Schmidt inner product)
-    rows = np.array(
-        [np.concatenate([vec(c).real, vec(c).imag]) for c in candidates]
-    )
+    # the real and imaginary parts of the eigenvectors span it
+    rows = np.vstack([vecs[:, close].real.T, vecs[:, close].imag.T])
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
-    k = int(round(np.sqrt(m.shape[0])))
-    basis = []
-    for r in vt[:rank]:
-        mat = unvec(r[: k * k] + 1j * r[k * k :])
-        basis.append(hermitian_part(mat))
-    return basis
+    rank = int(np.sum(s > 1e-9 * np.max(s, initial=1.0)))
+    return list(hunvec(vt[:rank]))
 
 
 def invariant_operators(view: ChannelView) -> list:
@@ -289,7 +274,7 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
     tra = transient_space(model)
     m_r = ChannelView(model, rec).matrix
     # fixed points of the dual channel restricted to the recurrent space
-    dual_basis = _fixed_space_hermitian_basis(m_r.conj().T, guard_ambiguity=True)
+    dual_basis = _fixed_space_hermitian_basis(m_r.T, guard_ambiguity=True)
     if not dual_basis:
         raise NumericalDegeneracyError("empty dual fixed-point space on recurrent part")
 
@@ -408,7 +393,7 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
         raise NumericalDegeneracyError(f"enclosure defect {defect:.3e}")
 
     p = enclosure.projector()
-    full = ChannelView.full(model)
+    dual = ChannelView.full(model).matrix.T
 
     w_space = subspace_intersection(
         transient_space(model), orthonormal_complement(enclosure)
@@ -416,16 +401,16 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
 
     a = p
     if w_space.dim:
-        dual_w = ChannelView(model, w_space).matrix.conj().T
+        dual_w = ChannelView(model, w_space).matrix.T
         c = w_space.basis
-        rhs = vec(c.conj().T @ apply_dual(full, p) @ c)
+        rhs = hvec(c.conj().T @ hunvec(dual @ hvec(p)) @ c)
         try:
-            y = unvec(np.linalg.solve(np.eye(dual_w.shape[0]) - dual_w, rhs))
+            y = hunvec(np.linalg.solve(np.eye(dual_w.shape[0]) - dual_w, rhs))
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(str(exc)) from exc
         a = p + c @ y @ c.conj().T
 
-    defect = _absorption_defect(full, enclosure, a)
+    defect = _absorption_defect(dual, enclosure, a)
     if not defect <= 1e-9:  # also catches NaN
         raise NumericalDegeneracyError(
             f"absorption operator fails its defining properties by {defect:.3e}"
@@ -435,13 +420,13 @@ def _absorption(model: WalkModel, enclosure: Subspace) -> AbsorptionOperator:
     return AbsorptionOperator(enclosure, a)
 
 
-def _absorption_defect(view, enclosure, a) -> float:
-    """Worst violation of the absorption-operator properties."""
+def _absorption_defect(dual, enclosure, a) -> float:
+    """Worst violation of the absorption-operator properties; ``dual``: the full dual channel."""
     h = a.shape[0]
     p = enclosure.projector()
     q = np.eye(h) - p
     herm = np.linalg.norm(a - a.conj().T)
-    harmonic = np.linalg.norm(apply_dual(view, a) - a)
+    harmonic = np.linalg.norm(dual @ hvec(a) - hvec(a))
     split = np.linalg.norm(a - (p + q @ a @ q))
     evals = np.linalg.eigvalsh(hermitian_part(a))
     bounds = max(0.0, float(-np.min(evals)), float(np.max(evals) - 1.0))

@@ -13,16 +13,17 @@ from oqwalk.channel import (
     TOL_TRACE_PRESERVING,
     ChannelView,
     WalkModel,
-    apply_dual,
+    hunvec,
+    hvec,
     perron,
     to_matrix,
-    unvec,
-    vec,
 )
 from oqwalk.errors import NotTracePreservingError
 from oqwalk.linalg import Subspace
+from oqwalk.structure import _fixed_space_hermitian_basis
 from util import (
     apply,
+    apply_dual,
     basis_subspace,
     random_densities,
     random_irreducible_model,
@@ -169,9 +170,76 @@ class TestApply:
         assert np.linalg.norm(deformed - manual) <= 1e-12
 
 
+def hermitian_basis(k: int) -> np.ndarray:
+    """The basis operators E_aa, then (E_ab + E_ba)/sqrt 2, then
+    i(E_ab - E_ba)/sqrt 2 for a < b, built one by one from their definition."""
+    def unit(a, b):
+        e = np.zeros((k, k), dtype=complex)
+        e[a, b] = 1.0
+        return e
+
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    return np.array(
+        [unit(a, a) for a in range(k)]
+        + [np.sqrt(0.5) * (unit(a, b) + unit(b, a)) for a, b in pairs]
+        + [1j * np.sqrt(0.5) * unit(a, b) - 1j * np.sqrt(0.5) * unit(b, a) for a, b in pairs]
+    )
+
+
+def random_hermitian(rng, shape, k: int) -> np.ndarray:
+    g = rng.standard_normal((*shape, k, k)) + 1j * rng.standard_normal((*shape, k, k))
+    return g + g.conj().swapaxes(-1, -2)
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_basis_is_orthonormal_and_hermitian(self, k):
+        basis = hunvec(np.eye(k * k))
+        np.testing.assert_array_equal(basis, hermitian_basis(k))
+        assert np.array_equal(basis, basis.conj().swapaxes(-1, -2))
+        gram = np.einsum("iab,jab->ij", basis.conj(), basis)  # Tr(B_i* B_j)
+        np.testing.assert_allclose(gram, np.eye(k * k), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_round_trip_on_stacks(self, k, shape):
+        a = random_hermitian(np.random.default_rng(10 * k + len(shape)), shape, k)
+        c = hvec(a)
+        assert c.dtype == np.float64 and c.shape == (*shape, k * k)
+        np.testing.assert_allclose(hunvec(c), a, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(hvec(hunvec(c)), c, rtol=0, atol=1e-14)
+
+    def test_coordinates_pair_like_operators(self):
+        # the Hilbert-Schmidt inner product is the dot product of coordinates
+        rng = np.random.default_rng(4)
+        a, b = random_hermitian(rng, (2,), 4)
+        assert hvec(a) @ hvec(b) == pytest.approx(np.trace(a @ b).real, abs=1e-12)
+
+    def test_coordinates_of_the_hermitian_part(self):
+        a, b = np.random.default_rng(5).standard_normal((2, 3, 3))
+        x = a + 1j * b
+        np.testing.assert_allclose(hvec(x), hvec((x + x.conj().T) / 2), rtol=0, atol=1e-15)
+
+    def test_fixed_space_basis_is_hermitian_and_orthonormal(self, four_state):
+        view = ChannelView.full(four_state)
+        basis = np.array(_fixed_space_hermitian_basis(view.matrix))
+        assert len(basis) == 5
+        np.testing.assert_array_equal(basis, basis.conj().swapaxes(-1, -2))
+        gram = np.einsum("iab,jab->ij", basis.conj(), basis)
+        np.testing.assert_allclose(gram, np.eye(5), rtol=0, atol=1e-12)
+        for x in basis:
+            assert np.linalg.norm(apply(view, x) - x) <= 1e-9
+
+
 class TestApplyDual:
+    """The dual channel is the transpose of ``ChannelView.matrix``."""
+
+    @staticmethod
+    def dual(view, x):
+        return hunvec(view.matrix.T @ hvec(x))
+
     def test_unital(self, four_state):
-        out = apply_dual(ChannelView.full(four_state), np.eye(4, dtype=complex))
+        out = self.dual(ChannelView.full(four_state), np.eye(4))
         np.testing.assert_allclose(out, np.eye(4), atol=1e-12)
 
     def test_adjoint_identity(self, four_state):
@@ -180,15 +248,24 @@ class TestApplyDual:
         rng_obs = random_densities(3, 4, 10)
         for sigma, x in zip(rng_states, rng_obs):
             lhs = np.trace(apply(view, sigma) @ x)
-            rhs = np.trace(sigma @ apply_dual(view, x))
+            rhs = np.trace(sigma @ self.dual(view, x))
             assert abs(lhs - rhs) <= 1e-10
 
     def test_absorption_operator_is_harmonic(self, four_state):
         from oqwalk.structure import absorption
 
         a = absorption(four_state, basis_subspace(4, [3]))
-        out = apply_dual(ChannelView.full(four_state), a.matrix)
+        out = self.dual(ChannelView.full(four_state), a.matrix)
         assert np.linalg.norm(out - a.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_transpose_matches_kraus_sum(self, k):
+        rng = np.random.default_rng(k)
+        model = random_walk_model(rng, 6, 2)
+        sub = Subspace(6, np.linalg.qr(rng.standard_normal((6, k)))[0])
+        view = ChannelView(model, sub, rng.standard_normal(2))
+        for x in random_hermitian(rng, (4,), k):
+            assert np.linalg.norm(self.dual(view, x) - apply_dual(view, x)) <= 1e-12
 
 
 class TestToMatrix:
@@ -199,25 +276,30 @@ class TestToMatrix:
         )
 
     def test_matches_apply_on_vectorized_operators(self, four_state):
+        # Hermitian inputs directly, general ones by linearity: X = H1 + i H2
         view = ChannelView.full(four_state, u=[0.3])
         m = to_matrix(view)
+        assert m.dtype == np.float64
         rng = np.random.default_rng(5)
         for _ in range(5):
             sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            direct = apply(view, sigma)
-            via_matrix = unvec(m @ vec(sigma))
-            assert np.linalg.norm(direct - via_matrix) <= 1e-10
+            h1, h2 = (sigma + sigma.conj().T) / 2, (sigma - sigma.conj().T) / 2j
+            for h in (h1, h2):
+                assert np.linalg.norm(apply(view, h) - hunvec(m @ hvec(h))) <= 1e-10
+            via_matrix = hunvec(m @ hvec(h1)) + 1j * hunvec(m @ hvec(h2))
+            assert np.linalg.norm(apply(view, sigma) - via_matrix) <= 1e-10
 
     def test_two_state_dominant_eigenvalue(self, two_state):
         assert abs(perron(ChannelView.full(two_state)).value - 1.0) <= 1e-9
 
     def test_deformed_construction(self, two_state):
+        # entry (j, l) is Tr(B_j T_u(B_l)), with T_u as a Kraus sum
         u = np.array([0.1])
         m = to_matrix(ChannelView.full(two_state, u))
-        expected = sum(
-            np.exp(u @ s) * np.kron(l.conj(), l)
-            for s, l in zip(two_state.shifts, two_state.kraus)
-        )
+        terms = list(zip(two_state.shifts, two_state.kraus))
+        basis = hermitian_basis(2)
+        images = [sum(np.exp(u @ s) * (l @ b @ l.conj().T) for s, l in terms) for b in basis]
+        expected = np.array([[np.trace(bj @ t) for t in images] for bj in basis])
         np.testing.assert_allclose(m, expected, atol=1e-12)
 
     @pytest.mark.parametrize("deformed", [False, True])
@@ -225,16 +307,20 @@ class TestToMatrix:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_bitwise_equal_to_kron_sum(self, k, lattice_dim, deformed):
         # the broadcast product and the in-order sum from zeros round exactly
-        # as sum_i e^{u.s_i} kron(conj K_i, K_i) does, signed zeros included
+        # as S = sum_i e^{u.s_i} kron(K_i, conj K_i) does, signed zeros
+        # included; S acts on row-major entries, and the matrix is
+        # Re(conj(E) S E^T) for E the flattened basis operators as rows
         rng = np.random.default_rng(100 * k + 10 * lattice_dim + deformed)
         model = random_walk_model(rng, 8, lattice_dim)
         g = rng.standard_normal((8, k)) + 1j * rng.standard_normal((8, k))
         sub = Subspace(8, np.linalg.qr(g)[0])
         u = rng.standard_normal(lattice_dim) if deformed else None
         view = ChannelView(model, sub, u)
-        expected = np.zeros((k * k, k * k), dtype=complex)
+        kron_sum = np.zeros((k * k, k * k), dtype=complex)
         for w, kr in zip(view.weights, view.compressed_kraus):
-            expected += w * np.kron(kr.conj(), kr)
+            kron_sum += w * np.kron(kr, kr.conj())
+        e = hermitian_basis(k).reshape(k * k, k * k)
+        expected = (e.conj() @ kron_sum @ e.T).real
         m = to_matrix(view)
         assert np.array_equal(m, expected)
         assert m.tobytes() == expected.tobytes()
@@ -243,6 +329,7 @@ class TestToMatrix:
         view = ChannelView.full(four_state, u=[0.3])
         assert view.matrix is view.matrix
         assert not view.matrix.flags.writeable
+        assert view.matrix.dtype == np.float64
         assert np.array_equal(view.matrix, to_matrix(view))
 
 
@@ -305,8 +392,8 @@ class TestPerron:
         # Perron vectors are the limits of the iterates of the seeds
         view = ChannelView.full(four_state)
         power = np.linalg.matrix_power(to_matrix(view), 4096)
-        state = unvec(power @ vec(np.eye(4) / 4))
-        dual = unvec(power.conj().T @ vec(np.eye(4)))
+        state = hunvec(power @ hvec(np.eye(4) / 4))
+        dual = hunvec(power.T @ hvec(np.eye(4)))
         pd = perron(view)
         np.testing.assert_allclose(
             pd.state, state / np.trace(state).real, rtol=0, atol=1e-12

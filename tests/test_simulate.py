@@ -440,6 +440,52 @@ class TestRun:
         with pytest.raises(ValueError):
             ens.at(4)
 
+    @pytest.mark.parametrize("name", ["steps", "trajectories", "y_stride"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "3", None])
+    def test_counts_must_be_integers(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{"steps": 4, "trajectories": 3, "seed": 0, name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(1.0), True, np.bool_(False), "2", None])
+    def test_horizons_must_be_integers(self, bad):
+        # a float horizon once ran, and its cut was never written
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            SimConfig(steps=4, trajectories=3, seed=0, horizons=(bad,))
+
+    def test_numpy_integer_counts_accepted(self, four_state_module, transient_rho):
+        plain = SimConfig(steps=6, trajectories=5, seed=2, y_stride=2, horizons=(0, 3))
+        typed = SimConfig(
+            steps=np.int64(6), trajectories=np.uint16(5), seed=2, y_stride=np.int32(2),
+            horizons=(np.int64(0), np.uint8(3)),
+        )
+        a, b = (run(four_state_module, transient_rho, cfg) for cfg in (plain, typed))
+        for n in (0, 3, 6):
+            assert np.array_equal(a.at(n).final_positions, b.at(n).final_positions)
+            assert np.array_equal(a.at(n).y_snapshot_steps, b.at(n).y_snapshot_steps)
+
+    def test_no_returned_row_is_left_unwritten(
+        self, monkeypatch, four_state_module, transient_rho, edge_absorption
+    ):
+        # every buffer the run allocates starts poisoned, so a row that no
+        # step writes would keep the poison
+        empty = np.empty
+
+        def poisoned(shape, dtype=float, **kwargs):
+            out = empty(shape, dtype=dtype, **kwargs)
+            out.fill(np.iinfo(out.dtype).max if out.dtype.kind in "iu" else np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        cfg = SimConfig(steps=7, trajectories=9, seed=4, y_stride=3, horizons=(0, 2, 5, 7))
+        ens = run(four_state_module, transient_rho, cfg, tracks={"edge": edge_absorption})
+        monkeypatch.undo()
+        positions = [ens.initial_positions, ens.final_positions, *ens.horizon_positions.values()]
+        assert sorted(ens.horizon_positions) == [0, 2, 5]
+        assert all(np.all(np.abs(x) <= cfg.steps) for x in positions)
+        assert all(np.all(np.isfinite(y)) for y in ens.y_tracks.values())
+        for n in cfg.horizons:
+            assert np.all(np.isfinite(ens.at(n).y_tracks["edge"]))
+
     @pytest.mark.parametrize("error", ["step", "track"])
     def test_worker_error_reaches_caller(self, monkeypatch, error):
         # only trajectories 4..7, the second slice, fail; with CHUNK = 4 the

@@ -25,6 +25,7 @@ from oqwalk.structure import (
     weights,
 )
 from util import (
+    apply_dual,
     basis_subspace,
     martingale_check,
     random_densities,
@@ -298,8 +299,6 @@ class TestAbsorption:
         np.testing.assert_allclose(a.matrix, np.eye(4), atol=1e-9)
 
     def test_operator_properties(self, four_state, four_state_dec):
-        from oqwalk.channel import apply_dual
-
         view = ChannelView.full(four_state)
         for block in four_state_dec.blocks:
             a = absorption(four_state, block.subspace)

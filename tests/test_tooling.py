@@ -5,7 +5,8 @@ signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. One more keeps the per-model memo behind its one
 accessor, ``WalkModel.cached``, two keep the superoperator of a channel view
-behind its one builder, ``ChannelView.matrix``, and one keeps
+behind its one builder, ``ChannelView.matrix``, one keeps that matrix real
+with its transpose the only dual map, and one keeps
 ``scipy.stats``, which about doubles the import time, out of the package's
 imports. The last four keep the public surface small and true: the package
 exports only its modules, every exception type but the base class is caught
@@ -200,6 +201,44 @@ def test_one_superoperator_per_perron_calculus(monkeypatch):
     calls.clear()
     asymptotics._log_lambda_derivatives(model, Subspace.full(2), [0.3])
     assert calls == [2]
+
+
+FIXTURE_PAIRS = [
+    ("two_state.json", "state_two_recurrent.json"),
+    ("four_state_p3_sixth.json", "state_four_balanced.json"),
+    ("four_state_p3_sixth.json", "state_four_transient.json"),
+    ("four_state_p3_half.json", "state_four_transient.json"),
+    ("commuting_diag.json", "state_commuting_mixed.json"),
+]
+
+
+@pytest.mark.parametrize("model, state", FIXTURE_PAIRS)
+def test_every_superoperator_is_real(monkeypatch, tmp_path, model, state):
+    """``analyze``, ``clt`` and ``ldp`` on the fixtures build only real
+    superoperators, and ``oqwalk.channel`` keeps no complex vectorization and
+    no second dual map beside the transpose of ``ChannelView.matrix``."""
+    from oqwalk import channel, cli
+
+    dtypes = []
+    real = channel.to_matrix
+
+    def recorded(view):
+        m = real(view)
+        dtypes.append(str(m.dtype))
+        return m
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oqwalk") and getattr(module, "to_matrix", None) is real:
+            monkeypatch.setattr(module, "to_matrix", recorded)
+    files = ["--model", str(ROOT / "fixtures" / model), "--state", str(ROOT / "fixtures" / state)]
+    for command in (
+        ["analyze"],
+        ["clt", "--steps", "50"],
+        ["ldp", "--grid=-0.9:0.9:0.3"],
+    ):
+        assert cli.main(command + files + ["--out", str(tmp_path / command[0])]) == 0
+    assert dtypes and set(dtypes) == {"float64"}
+    assert not {"vec", "unvec", "apply_dual"} & set(vars(channel))
 
 
 def test_package_does_not_load_scipy_stats():

@@ -20,6 +20,20 @@ def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
+def apply_dual(view: ChannelView, x: np.ndarray) -> np.ndarray:
+    """Dual (Heisenberg) channel sum_i e^{u.s_i} K_i* x K_i, as a Kraus sum:
+    the reference that the transpose of a superoperator matrix is checked
+    against."""
+    x = np.asarray(x, dtype=complex)
+    k = view.dim
+    if x.shape != (k, k):
+        raise ValueError(f"expected {k}x{k} operator, got {x.shape}")
+    out = np.zeros((k, k), dtype=complex)
+    for w, kr in zip(view.weights, view.compressed_kraus):
+        out += w * (kr.conj().T @ x @ kr)
+    return out
+
+
 def martingale_check(model: WalkModel, observable: np.ndarray, states: list) -> float:
     """Worst one-step violation of E[Tr(A rho_{n+1}) | rho_n] = Tr(A rho_n).
 
