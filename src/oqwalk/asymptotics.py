@@ -395,12 +395,21 @@ def legendre(model: WalkModel, subspace: Subspace, x) -> RateEvaluation:
     maximum is global. A maximizer pinned to the search boundary with the
     objective still increasing signals a point outside the closure of the
     gradient range; the value is then reported as +inf.
+
+    The evaluations at the points every ascent visits, u = 0 and in d = 1
+    also u = +-U_MAX, do not depend on x; they are memoized per model and
+    compression (``_anchor``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
+    points = [np.zeros(d)] + ([np.array([U_MAX]), np.array([-U_MAX])] if d == 1 else [])
+    anchors = {u.tobytes() for u in points}
 
     def evaluate(u):
-        value, g, h = _log_lambda_derivatives(model, subspace, u)
+        if u.tobytes() in anchors:
+            value, g, h = _anchor(model, subspace, u)
+        else:
+            value, g, h = _log_lambda_derivatives(model, subspace, u)
         return float(x @ u) - value, x - g, None if h is None else -h
 
     best_u = _ascent_1d(evaluate) if d == 1 else _ascent_nd(evaluate, d)
@@ -415,6 +424,23 @@ def legendre(model: WalkModel, subspace: Subspace, x) -> RateEvaluation:
         else:
             note = "maximizer on the search boundary; rate possibly infinite"
     return RateEvaluation(point=x, value=value, maximizer=best_u, note=note)
+
+
+def _anchor(model: WalkModel, subspace: Subspace, u: np.ndarray):
+    """``_log_lambda_derivatives`` at a point that every Legendre ascent on
+    the compression visits, memoized per model (``WalkModel.cached``) and
+    keyed, as ``absorption`` is, by the shape and bytes of the compression's
+    basis, plus the bytes of u. The stored arrays are read-only."""
+    basis = subspace.basis
+
+    def build():
+        value, grad, hess = _log_lambda_derivatives(model, subspace, u)
+        grad.flags.writeable = False
+        if hess is not None:
+            hess.flags.writeable = False
+        return value, grad, hess
+
+    return model.cached(("legendre-anchor", basis.shape, basis.tobytes(), u.tobytes()), build)
 
 
 def rate_function(

@@ -105,9 +105,11 @@ class WalkModel:
     structural checks (ValueError). A model is immutable: it holds read-only
     copies of the arrays it was given, so structure computed from it never
     goes stale. ``cached`` is the one memo: the recurrent split, each
-    absorption operator and each ``decompose(model, seed)`` are built on
-    first use and shared after, so what they return is read-only. Copies and
-    pickles start with an empty memo.
+    absorption operator, each ``decompose(model, seed)`` and the Legendre
+    anchors (log lambda with its gradient and Hessian at u = 0, and at
+    u = +-U_MAX in d = 1, per compression) are built on first use and shared
+    after, so what they return is read-only. Copies and pickles start with an
+    empty memo.
     """
 
     shifts: np.ndarray  # (v, d) integer lattice vectors
@@ -143,7 +145,8 @@ class WalkModel:
         """The value stored under ``key``, made by ``build()`` on first use.
 
         The stored value is shared by every later caller, so ``build`` must
-        return it read-only (tuples, arrays with ``writeable`` off).
+        return it read-only (tuples, frozen dataclasses, arrays with
+        ``writeable`` off).
         """
         if key not in self._memo:
             self._memo[key] = build()

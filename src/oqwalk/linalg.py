@@ -110,7 +110,12 @@ def _dominant_index(vals: np.ndarray) -> int:
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for square a, rejecting rank-deficient systems."""
+    """Solve a x = b for square a, rejecting rank-deficient systems.
+
+    The singular values gate the system, so the solve is a plain LU:
+    getrf/getrs, as ``scipy.linalg.solve`` runs on a general matrix, without
+    its condition estimate.
+    """
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise SingularMatrixError(
@@ -118,7 +123,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if sv.size
             else "empty system"
         )
-    x = scipy.linalg.solve(a, b)
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
     resid = np.linalg.norm(a @ x - b)
     bound = 1e-9 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
     if resid > max(bound, 1e-300):

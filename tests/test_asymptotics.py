@@ -590,6 +590,36 @@ class TestRateFunction:
         assert calls.count("weights") == 1
         assert calls.count("project_subspace") == enclosures
 
+    @pytest.mark.parametrize(
+        "model_file, state_file, parts",
+        [
+            ("commuting_diag.json", "state_commuting_mixed.json", 2),
+            ("four_state_p3_sixth.json", "state_four_transient.json", 3),
+        ],
+    )
+    def test_sweep_computes_each_anchor_once(self, monkeypatch, model_file, state_file, parts):
+        # u = 0 and u = +-U_MAX do not depend on x: on a 37-point sweep each
+        # part's derivatives there are computed once, then read from the memo
+        model = WalkModel.load(FIXTURES / model_file)
+        rho = DiagonalState.load(FIXTURES / state_file)
+        dec = decompose(model, seed=0)
+        anchors = {}
+        real = asymptotics._log_lambda_derivatives
+
+        def counted(model, subspace, u):
+            u = np.atleast_1d(np.asarray(u, dtype=float))
+            if abs(u[0]) in (0.0, asymptotics.U_MAX):
+                key = (subspace.basis.tobytes(), float(u[0]))
+                anchors[key] = anchors.get(key, 0) + 1
+            return real(model, subspace, u)
+
+        monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", counted)
+        sweep = rate_function(model, dec, rho, np.arange(-0.9, 0.91, 0.05)[:, None])
+        assert len(sweep) == 37 and len(sweep[0].per_block) == parts
+        zeros = [key for key in anchors if key[1] == 0.0]
+        assert len(zeros) == parts
+        assert set(anchors.values()) == {1}
+
     def test_points_of_another_dimension(self, commuting, commuting_dec):
         rho = DiagonalState.single_site(np.eye(3, dtype=complex) / 3)
         with pytest.raises(ValueError, match="points need 1 components"):

@@ -3,10 +3,12 @@ functions by name and skips a name that no longer resolves, so a rename would
 silently zero that layer's metrics; a benchmark call that no longer fits its
 signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
-fail here instead. One more keeps the per-model memo behind its one
-accessor, ``WalkModel.cached``, two keep the superoperator of a channel view
-behind its one builder, ``ChannelView.matrix``, one keeps that matrix real
-with its transpose the only dual map, and one keeps
+fail here instead. Two more keep the per-model memo behind its one
+accessor, ``WalkModel.cached``, and every value it holds read-only; one pins
+the bytes of the ``ldp`` sweeps on the fixtures and one those of
+``analyze`` and ``clt``; two keep the superoperator of a channel view behind
+its one builder, ``ChannelView.matrix``; one keeps that matrix real with its
+transpose the only dual map; and one keeps
 ``scipy.stats``, which about doubles the import time, out of the package's
 imports. The last four keep the public surface small and true: the package
 exports only its modules, every exception type but the base class is caught
@@ -15,6 +17,8 @@ and the README's command examples parse."""
 
 import argparse
 import ast
+import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -25,6 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,6 +215,98 @@ FIXTURE_PAIRS = [
     ("four_state_p3_half.json", "state_four_transient.json"),
     ("commuting_diag.json", "state_commuting_mixed.json"),
 ]
+
+
+# sha256 of rate_sweep.csv per (model, state, grid): the README's sweep on
+# every fixture pair, and four_state_p3_half's crossing interval, where the
+# kink path and the central-difference gradient run
+LDP_DIGESTS = [
+    (*FIXTURE_PAIRS[0], "-0.9:0.9:0.05", "5444ffbf4b7828b05b4316dfdaafa178951053cda257a7652b67a805c44a488f"),
+    (*FIXTURE_PAIRS[1], "-0.9:0.9:0.05", "8b82173157c5a0d44728132dbab30879341ea8c9d4c8fa4877e62094092ad5d7"),
+    (*FIXTURE_PAIRS[2], "-0.9:0.9:0.05", "cbac0a3f0c78c79784ad49e511605cbae7e3b15c5094bad721e20084cae9cf98"),
+    (*FIXTURE_PAIRS[3], "-0.9:0.9:0.05", "d0f0bb5ca96025a3d96db97346ad41148a28d72f6e0fd626a9450422170fcc5f"),
+    (*FIXTURE_PAIRS[4], "-0.9:0.9:0.05", "ba956cae8cb044a686826375c69fec6d67c80bdc249a55e5ce4bfb52b658478b"),
+    (*FIXTURE_PAIRS[3], "-1.1:1.1:0.01", "410cba914e0c31961dbcc7d6943a1331899e0bccda59ac0aedce22f84bf71c61"),
+]
+
+
+@pytest.mark.parametrize("model, state, grid, digest", LDP_DIGESTS)
+def test_ldp_sweep_bytes_are_pinned(tmp_path, model, state, grid, digest):
+    """A speed-up of the Legendre path keeps every ``ldp`` output byte for
+    byte: ``Lambda`` and ``ustar`` to their last printed digit."""
+    from oqwalk import cli
+
+    files = ["--model", str(ROOT / "fixtures" / model), "--state", str(ROOT / "fixtures" / state)]
+    assert cli.main(["ldp", f"--grid={grid}", *files, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "rate_sweep.csv").read_bytes()).hexdigest() == digest
+
+
+
+# sha256 over the files that ``analyze`` and ``clt --steps 50,200`` write, by
+# name, per fixture pair: the drift and covariance come from the bordered
+# solves of ``solve_linear``, which a change of solver could move in the
+# last bits
+CLT_DIGESTS = [
+    (*FIXTURE_PAIRS[0], "debf743210a52b81bb43f69fe939a78d83cfa61244d17a11a1fdb058028fd9f7"),
+    (*FIXTURE_PAIRS[1], "0e863bff5c5d0a9e8df4b2b384b248d5ab24e870c8e26f35c45e1d011dd02016"),
+    (*FIXTURE_PAIRS[2], "9b009cd6ca66852d2b02b97376ce506b2d45b1880cd166636a75c8ccae2cdfcc"),
+    (*FIXTURE_PAIRS[3], "b3326645704d301e76177755f2a94d59c228ed69e40bbb5efaaf73eb7e3b3a83"),
+    (*FIXTURE_PAIRS[4], "2ad4b3040021c047b85dc7338eae96913c184339b7b09bde17a0b6be92be6b9e"),
+]
+
+
+@pytest.mark.parametrize("model, state, digest", CLT_DIGESTS)
+def test_clt_output_bytes_are_pinned(tmp_path, model, state, digest):
+    """``analyze`` and ``clt`` keep their outputs byte for byte."""
+    from oqwalk import cli
+
+    files = ["--model", str(ROOT / "fixtures" / model), "--state", str(ROOT / "fixtures" / state)]
+    assert cli.main(["analyze", *files, "--out", str(tmp_path)]) == 0
+    assert cli.main(["clt", "--steps", "50,200", *files, "--out", str(tmp_path)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == digest
+
+def _writable_parts(value, where: str) -> list:
+    """Paths within a memo value that a caller could change: writeable
+    arrays, and containers that are not tuples or frozen dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [where] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        return [p for i, v in enumerate(value) for p in _writable_parts(v, f"{where}[{i}]")]
+    if dataclasses.is_dataclass(value) and type(value).__dataclass_params__.frozen:
+        return [
+            p
+            for f in dataclasses.fields(value)
+            for p in _writable_parts(getattr(value, f.name), f"{where}.{f.name}")
+        ]
+    if value is None or isinstance(value, (bool, int, float, str, np.number)):
+        return []
+    return [f"{where}: {type(value).__name__}"]
+
+
+@pytest.mark.parametrize("model, state", FIXTURE_PAIRS)
+def test_memo_values_are_read_only(model, state):
+    """After the library calls that fill it, every value in a model's memo is
+    read-only, as ``WalkModel.cached`` asks of what it stores."""
+    from oqwalk import asymptotics, structure
+    from oqwalk.channel import WalkModel
+
+    model = WalkModel.load(ROOT / "fixtures" / model)
+    rho = structure.DiagonalState.load(ROOT / "fixtures" / state)
+    dec = structure.decompose(model)
+    _, enclosure_weights = structure.weights(model, dec, rho)
+    asymptotics.clt_mixture(model, dec, rho, 50)
+    asymptotics.rate_function(model, dec, rho, np.linspace(-0.9, 0.9, 7)[:, None])
+    for row, block in zip(enclosure_weights, dec.blocks):
+        for w, enclosure in zip(row, block.minimal_enclosures):
+            if w > asymptotics.WEIGHT_FLOOR:  # an enclosure it reaches
+                asymptotics.lambda_split_check(model, enclosure, rho, [0.3])
+    keys = list(model._memo)
+    assert any(key[0] == "legendre-anchor" for key in keys if isinstance(key, tuple))
+    assert [p for key in keys for p in _writable_parts(model._memo[key], repr(key)[:40])] == []
 
 
 @pytest.mark.parametrize("model, state", FIXTURE_PAIRS)
