@@ -5,8 +5,8 @@ signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. Two more keep the per-model memo behind its one
 accessor, ``WalkModel.cached``, and every value it holds read-only; one pins
-the bytes of the ``ldp`` sweeps on the fixtures and one those of
-``analyze`` and ``clt``; two keep the superoperator of a channel view behind
+the bytes of the ``ldp`` sweeps on the fixtures, one those of
+``analyze`` and ``clt`` and one those of ``simulate`` and ``compare``; two keep the superoperator of a channel view behind
 its one builder, ``ChannelView.matrix``; one keeps that matrix real with its
 transpose the only dual map; and one keeps
 ``scipy.stats``, which about doubles the import time, out of the package's
@@ -268,6 +268,48 @@ def test_clt_output_bytes_are_pinned(tmp_path, model, state, digest):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     assert h.hexdigest() == digest
+
+
+# sha256 over what ``simulate --steps 50,600 --traj 4096 --seed 42`` and then
+# ``compare`` write, by name: the ensembles, their manifests without the wall
+# time, and distances.csv; untracked on every fixture pair, and tracked on
+# four_state_p3_sixth from its transient start, as ``certify_h4`` runs it
+SIMULATE_DIGESTS = [
+    (*FIXTURE_PAIRS[0], (), "be96d2ace1472bd07c916526197fd1a96b08b0158417c2ce22ad1800f3741960"),
+    (*FIXTURE_PAIRS[1], (), "4caa6ff443afab86fcd7bf2e61bdc9ffd4330d19bea949f1dd75c67e665a1f52"),
+    (*FIXTURE_PAIRS[2], (), "b8bcb330466d425a3f4a8a7f9f799622dd79d3c1781b028ea54bdff827c903a2"),
+    (*FIXTURE_PAIRS[3], (), "489a312d5dd059b97393897443dd28b61c6923259bb65e13b45c3aa1174496a4"),
+    (*FIXTURE_PAIRS[4], (), "21427792edf4b9a4ef8551768db07efc4641341faae1e712a57909d68a4cb3e4"),
+    (
+        *FIXTURE_PAIRS[2],
+        ("--enclosure-track", "block-1", "--y-stride", "50"),
+        "38c1f63f22e356501d5d5af41e284815c5bd9d80fe33e346590e498a58afeeb4",
+    ),
+]
+
+
+@pytest.mark.parametrize("model, state, tracking, digest", SIMULATE_DIGESTS)
+def test_simulate_output_bytes_are_pinned(tmp_path, model, state, tracking, digest):
+    """``simulate`` and ``compare`` keep their outputs byte for byte: a
+    change of the simulator's step moves no position, track or distance."""
+    from oqwalk import cli
+
+    files = ["--model", str(ROOT / "fixtures" / model), "--state", str(ROOT / "fixtures" / state)]
+    clt_dir, out = tmp_path / "clt", tmp_path / "out"
+    assert cli.main(["clt", "--steps", "50,600", *files, "--out", str(clt_dir)]) == 0
+    simulate = ["simulate", "--steps", "50,600", "--traj", "4096", "--seed", "42", *tracking]
+    assert cli.main(simulate + files + ["--out", str(out)]) == 0
+    ensembles = ",".join(str(out / f"ensemble_n{n}.csv") for n in (50, 600))
+    predictions = ",".join(str(clt_dir / f"mixture_n{n}.json") for n in (50, 600))
+    compare = ["compare", "--ensemble", ensembles, "--prediction", predictions]
+    assert cli.main(compare + ["--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        h.update(path.name.encode())
+        h.update(b"".join(line for line in lines if b'"wall_time_seconds"' not in line))
+    assert h.hexdigest() == digest
+
 
 def _writable_parts(value, where: str) -> list:
     """Paths within a memo value that a caller could change: writeable
