@@ -524,10 +524,13 @@ def lambda_split_check(
     model: WalkModel, enclosure: Subspace, rho: DiagonalState, u
 ) -> tuple[float, float, float]:
     """Deformed spectral radius on the reachable compression versus its
-    recurrent and transient contributions; checks the max identity."""
+    recurrent and transient contributions; checks the max identity. An
+    enclosure ``rho`` does not reach (empty compression) is a ValueError."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     tra = transient_space(model)
     q = _reachable_compression(model, enclosure, reachable_space(model, rho))
+    if not q.dim:
+        raise ValueError("the state does not reach this enclosure: its compression is empty")
     w_space = subspace_intersection(q, tra)
 
     lam_q = float(np.exp(log_lambda(model, q, u)))

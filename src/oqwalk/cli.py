@@ -293,10 +293,13 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # positions that would not fit in int64
         raise InputError(str(exc)) from exc
     wall = time.perf_counter() - start
+    out_dir.mkdir(parents=True, exist_ok=True)
     for n in horizons:
         ensemble = full.at(n)
         header, rows = _ensemble_rows(ensemble)
-        _write_csv(out_dir / f"ensemble_n{n}.csv", header, rows)
+        # no field needs quoting, so one join gives the bytes of csv.writer
+        text = "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n"
+        (out_dir / f"ensemble_n{n}.csv").write_text(text, newline="")
         _write_json(out_dir / f"manifest_n{n}.json", _manifest(model, ensemble, wall))
         print(f"wrote ensemble_n{n}.csv ({args.traj} trajectories, {wall:.1f}s)")
     return 0

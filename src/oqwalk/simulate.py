@@ -45,9 +45,8 @@ W = 1 and never fork. Each slice pays the per-step numpy-call cost of its
 chunk again, and the fork and join cost about 11 ms in a 100-200 MB process.
 On a 2-core Xeon (one BLAS thread, certify_h4's start), W = 2 took 1.05-1.34x
 the time of W = 1 at 512 trajectories and 50 steps and 0.74-0.79x at 600
-steps; at 1024 trajectories 0.84-1.07x at 50 steps and 0.63-0.82x at 600,
-and at 2048 and 4096 0.52-1.01x and 0.58-0.76x. So from slices of 512
-trajectories on a fork is about even at 50 steps and wins at 600.
+steps, and from 1024 trajectories on 0.52-1.07x and 0.58-0.82x: from slices
+of 512 trajectories on a fork is about even at 50 steps and wins at 600.
 Platforms without ``os.fork`` and processes in which other Python threads
 run keep W = 1 too, and ``taskset -c 0`` gives a serial run. While the
 slices run, every OpenBLAS the process has loaded is held to one thread, and
@@ -59,11 +58,10 @@ State: a trajectory's state rho_n = F_n F_n* keeps the rank r of its start,
 so it is stepped as an h x r factor F <- L_j F / sqrt(p_j), with
 p_j = ||L_j F||^2; F F* is Hermitian and positive semidefinite by
 construction, so no step restores either. Each normalized site matrix is
-factored as F = V sqrt(Lambda) over the eigenpairs that
-``linalg.support_eigenpairs`` keeps, so eigenvalues at or below TOL_RANK
-times its norm are not stepped (``DiagonalState`` validates its sites by the
-same rule). A run with tracks steps every site's whole F, zero-padded to the
-largest rank, because a track reads the mixed conditional state. A run
+factored as F = V sqrt(Lambda) over its support eigenpairs
+(``linalg.support_eigenpairs``, the rule ``DiagonalState`` validates by). A
+run with tracks steps every site's whole F, zero-padded to the largest rank,
+because a track, sum_k f_k* A f_k, reads the mixed conditional state. A run
 without tracks steps one column f_k = sqrt(lambda_k) psi_k of F, a pure
 atom: the position law is linear in the start, so drawing the pair (x, k)
 with probability tr rho(x) lambda_k and stepping the pure state gives the
@@ -72,16 +70,18 @@ Attal, Guillotin-Plantard and Sabot, Ann. Henri Poincare 2015). The pair is
 drawn with the one uniform of the site draw: each site's slice of the site
 CDF is split among its atoms in proportion to their eigenvalues, so the site
 drawn does not change, and a rank-1 site steps the factor a tracked run
-steps. A chunk's states are a (c, r, h) array of the rows of F^T; one
+steps.
+
+Step: a chunk's states are a (c, r, h) array of the rows of F^T; one
 row-stacked product (``_rows_times``) with [L_1^T ... L_v^T] gives every
-branch's (L_j F)^T, and p_j sums ||L_j f_k||^2 over the columns one at a
-time; stacked as rows, a state's result does not depend on the chunk size.
-A track is sum_k f_k* A f_k. One form pays against stepping h x h density
-matrices (per trajectory-step, serial, one BLAS thread, 2-core Xeon whose
-speed drifts by up to 2x): without tracks the four-level walk's rank-3
-balanced start took 0.37-0.43x the time, and random full-rank starts
-0.18-0.22x at h = 8 and 0.14-0.21x at h = 16; with tracks, rank-r factors
-took 0.6-1.3x the time from h = 2 to 16, the most at h = 4 (0.8-1.38x).
+branch's (L_j F)^T (``_branch_probabilities``). ``_take_chosen`` copies
+branch j of state n by ``np.take`` at flat indices: rows (n r + k) v + j
+of the (c r v, h) products, from the (c, r) rows (n r + k) v built once
+per chunk, and entry j c + n of the (v, c) probabilities. What rounds (the
+``zgemm`` of ``_rows_times``, the ``einsum`` sums of p_j, the divisions,
+the normalization) keeps its operands and order, so no output moves a
+bit. A tracked 2048 x 600 run of the four-level walk took 81-85 ns a
+trajectory-step (serial, 2-core Xeon), 0.87x the time with fancy indices.
 
 Branch choice (``_choose_branches``): the (c, v) probabilities of a chunk
 (c states, v branches) are clipped at 0 into a contiguous branch-major
@@ -91,14 +91,12 @@ when v is small. Each state's total is the sum of its column entries, and a
 state picks the number of j < v - 1 whose partial sum q_0 + ... + q_j,
 q_j = p_j / total, lies below its uniform: the first branch whose cumulative
 weight reaches the uniform, and the last branch where rounding leaves every
-partial sum below it. These are the additions, in the order, of numpy's
-row-wise ``cumsum`` and, for v < 8, of its row ``sum``: numpy adds a row of
-fewer than 8 entries from left to right, but a longer one in 8 interleaved
-lanes, so for v >= 8 the totals come from numpy's row sum of a row-major
-copy (``_branch_totals``). The choice is therefore the same bits as the
-row-wise form ``min(sum(cumsum(p / total) < u), v - 1)``. A total below
-1e-14 or not a number, and a chosen weight below 1e-14 or not a number,
-raise NumericalDegeneracyError.
+partial sum below it. The sum starts at q_0, the bits of 0.0 + q_0, and at
+v = 1, q_0 = p_0 / p_0 = 1 is below no uniform. These are the additions, in
+order, of numpy's row-wise ``cumsum`` and ``sum`` (``_branch_totals``), so
+the choice is the same bits as ``min(sum(cumsum(p / total) < u), v - 1)``.
+A total below 1e-14 or not a number, and a chosen weight below 1e-14 or not
+a number, raise NumericalDegeneracyError.
 
 Uniforms: each stream is called once per block of ``DRAW_BLOCK`` steps,
 ``random_raw`` into a reused uint64 block, and its first call also gives the
@@ -335,12 +333,19 @@ def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
     totals = _branch_totals(probs)
     if not totals.min() >= 1e-14:  # also true on NaN
         raise NumericalDegeneracyError("all branch probabilities vanish")
-    chosen = np.zeros(len(uniforms), dtype=np.intp)
-    cdf = np.zeros(len(uniforms))
-    for p in probs[:-1]:
+    cdf = probs[0] / totals  # 0.0 + q_0 in its bits (see the module text)
+    chosen = (cdf < uniforms).astype(np.intp)
+    for p in probs[1:-1]:
         cdf += p / totals
         chosen += cdf < uniforms
     return probs, chosen
+
+
+def _take_chosen(products: np.ndarray, probs: np.ndarray, chosen: np.ndarray, rows: np.ndarray):
+    """``products[traj, :, chosen]`` and ``probs[chosen, traj]`` by flat indices (module text)."""
+    flat = products.reshape(-1, products.shape[-1])
+    weights = np.take(probs.ravel(), chosen * len(chosen) + np.arange(len(chosen)))
+    return np.take(flat, rows + chosen[:, None], axis=0), weights
 
 
 def _starts(site_mats: np.ndarray, site_cdf: np.ndarray, pure: bool) -> tuple:
@@ -551,7 +556,7 @@ def run(
                 row[:] = g.random_raw(width)
             return _uniforms(block)
 
-        traj = np.arange(c)
+        rows = np.arange(c * starts.shape[1]).reshape(c, -1) * len(shifts)
         uniforms = draw(words.shape[1])  # the start's uniform, then a block
         start_idx = np.minimum(
             np.searchsorted(start_cdf, uniforms[:, 0], side="right"), len(start_cdf) - 1
@@ -584,12 +589,11 @@ def run(
                 uniforms = draw(min(DRAW_BLOCK, n_steps - n + 1))
             probs, products = _branch_probabilities(states, stacked)
             probs, chosen = _choose_branches(probs, uniforms[:, k])
-            weights = probs[chosen, traj]
+            states, weights = _take_chosen(products, probs, chosen, rows)
             if not weights.min() >= 1e-14:  # also true on NaN
                 raise NumericalDegeneracyError("selected branch has vanishing probability")
-            states = products[traj, :, chosen]
             states.view(float)[...] *= (1.0 / np.sqrt(weights))[:, None, None]
-            positions += shifts[chosen]
+            positions += np.take(shifts, chosen, axis=0)
             record(n)
 
         final[lo:hi] = positions

@@ -22,7 +22,7 @@ from oqwalk.asymptotics import (
 from oqwalk.channel import ChannelView, WalkModel, perron
 from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace
-from oqwalk.structure import DiagonalState, decompose
+from oqwalk.structure import DiagonalState, decompose, weights
 from util import apply, basis_subspace, bernoulli_rate, random_irreducible_model
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -670,3 +670,22 @@ class TestLambdaSplit:
         assert lam_v == pytest.approx(1.0, abs=1e-10)
         assert lam_w < 1.0
         assert lam_q == pytest.approx(1.0, abs=1e-10)
+
+    def test_unreached_enclosure_is_refused(self, monkeypatch):
+        # the transient start of four_state_p3_half puts weight 0 on block-0,
+        # so both its minimal enclosures have an empty reachable compression
+        model = WalkModel.load(FIXTURES / "four_state_p3_half.json")
+        rho = DiagonalState.load(FIXTURES / "state_four_transient.json")
+        dec = decompose(model)
+        block_weights, enclosure_weights = weights(model, dec, rho)
+        assert dec.block_ids()[0] == "block-0" and block_weights[0] == 0.0
+        enclosures = dec.blocks[0].minimal_enclosures
+        assert len(enclosures) == 2 and max(enclosure_weights[0]) == 0.0
+
+        def no_spectral_radius(*args, **kwargs):
+            raise AssertionError("a spectral radius was computed")
+
+        monkeypatch.setattr(asymptotics, "log_lambda", no_spectral_radius)
+        for enclosure in enclosures:
+            with pytest.raises(ValueError, match="does not reach this enclosure"):
+                lambda_split_check(model, enclosure, rho, [0.3])

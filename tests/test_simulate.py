@@ -882,6 +882,41 @@ class TestBranchChoice:
             "2b1f7f100996196df1eb3aa8c74694e96e9b74a48bbf5bc6a4b1a9fb749ef52f"
         )
 
+    @pytest.mark.parametrize("c", [1, 2, 7, 1000])
+    def test_one_branch_is_always_taken(self, c):
+        rng = np.random.default_rng(c)
+        probs = (0.5 + rng.random((c, 1))) * 10.0 ** rng.integers(-12, 4, size=(c, 1))
+        u = rng.random(c)
+        u[-1] = 1.0 - 2.0**-53  # the largest uniform
+        weights, chosen = simulate._choose_branches(probs, u)
+        assert np.array_equal(weights, probs.T)
+        assert chosen.dtype == np.intp and np.array_equal(chosen, np.zeros(c, dtype=np.intp))
+
+
+class TestChosenTakes:
+    """``_take_chosen`` gathers each state's chosen branch at flat indices;
+    it must give exactly what the fancy indices it replaces give."""
+
+    @pytest.mark.parametrize("c", [1, 2, 7])
+    @pytest.mark.parametrize("v", [1, 2, 3, 9])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_flat_takes_match_fancy_indexing(self, r, v, c):
+        rng = np.random.default_rng(100 * r + 10 * v + c)
+        h = 3
+        kraus = rng.standard_normal((v, h, h)) + 1j * rng.standard_normal((v, h, h))
+        states = rng.standard_normal((c, r, h)) + 1j * rng.standard_normal((c, r, h))
+        probs, products = simulate._branch_probabilities(
+            states, np.hstack(kraus.transpose(0, 2, 1))
+        )
+        probs, chosen = simulate._choose_branches(probs, rng.random(c))
+        chosen[:] = np.arange(c) % v  # every branch, where there are states for it
+        rows = np.arange(c * r).reshape(c, -1) * v  # as ``run`` builds them per chunk
+        taken, weights = simulate._take_chosen(products, probs, chosen, rows)
+        traj = np.arange(c)
+        assert taken.shape == (c, r, h) and taken.flags.c_contiguous
+        assert np.array_equal(taken, products[traj, :, chosen])
+        assert np.array_equal(weights, probs[chosen, traj])
+
 
 class TestPureStartLaw:
     """Without tracks, a mixed start steps one eigenvector psi_k of its site,
