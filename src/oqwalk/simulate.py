@@ -329,7 +329,7 @@ def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
     returned with the chosen branches. Raises NumericalDegeneracyError where
     a state's total is below 1e-14 or not a number.
     """
-    probs = np.clip(probs.T, 0.0, None, out=np.empty(probs.shape[::-1]))
+    probs = np.maximum(probs.T, 0.0, out=np.empty(probs.shape[::-1]))  # = np.clip(p, 0, None)
     totals = _branch_totals(probs)
     if not totals.min() >= 1e-14:  # also true on NaN
         raise NumericalDegeneracyError("all branch probabilities vanish")
@@ -344,8 +344,8 @@ def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
 def _take_chosen(products: np.ndarray, probs: np.ndarray, chosen: np.ndarray, rows: np.ndarray):
     """``products[traj, :, chosen]`` and ``probs[chosen, traj]`` by flat indices (module text)."""
     flat = products.reshape(-1, products.shape[-1])
-    weights = np.take(probs.ravel(), chosen * len(chosen) + np.arange(len(chosen)))
-    return np.take(flat, rows + chosen[:, None], axis=0), weights
+    weights = probs.ravel().take(chosen * len(chosen) + np.arange(len(chosen)))
+    return flat.take(rows + chosen[:, None], axis=0), weights
 
 
 def _starts(site_mats: np.ndarray, site_cdf: np.ndarray, pure: bool) -> tuple:
@@ -593,7 +593,7 @@ def run(
             if not weights.min() >= 1e-14:  # also true on NaN
                 raise NumericalDegeneracyError("selected branch has vanishing probability")
             states.view(float)[...] *= (1.0 / np.sqrt(weights))[:, None, None]
-            positions += np.take(shifts, chosen, axis=0)
+            positions += shifts.take(chosen, axis=0)
             record(n)
 
         final[lo:hi] = positions
