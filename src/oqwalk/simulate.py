@@ -45,8 +45,9 @@ W = 1 and never fork. Each slice pays the per-step numpy-call cost of its
 chunk again, and the fork and join cost about 11 ms in a 100-200 MB process.
 On a 2-core Xeon (one BLAS thread, certify_h4's start), W = 2 took 1.05-1.34x
 the time of W = 1 at 512 trajectories and 50 steps and 0.74-0.79x at 600
-steps, and from 1024 trajectories on 0.52-1.07x and 0.58-0.82x: from slices
-of 512 trajectories on a fork is about even at 50 steps and wins at 600.
+steps; at 1024 trajectories 0.84-1.07x at 50 steps and 0.63-0.82x at 600,
+and at 2048 and 4096 0.52-1.01x and 0.58-0.76x. So from slices of 512
+trajectories on a fork is about even at 50 steps and wins at 600.
 Platforms without ``os.fork`` and processes in which other Python threads
 run keep W = 1 too, and ``taskset -c 0`` gives a serial run. While the
 slices run, every OpenBLAS the process has loaded is held to one thread, and
@@ -74,14 +75,13 @@ steps.
 
 Step: a chunk's states are a (c, r, h) array of the rows of F^T; one
 row-stacked product (``_rows_times``) with [L_1^T ... L_v^T] gives every
-branch's (L_j F)^T (``_branch_probabilities``). ``_take_chosen`` copies
-branch j of state n by ``np.take`` at flat indices: rows (n r + k) v + j
-of the (c r v, h) products, from the (c, r) rows (n r + k) v built once
-per chunk, and entry j c + n of the (v, c) probabilities. What rounds (the
-``zgemm`` of ``_rows_times``, the ``einsum`` sums of p_j, the divisions,
-the normalization) keeps its operands and order, so no output moves a
-bit. A tracked 2048 x 600 run of the four-level walk took 81-85 ns a
-trajectory-step (serial, 2-core Xeon), 0.87x the time with fancy indices.
+branch's (L_j F)^T. ``_take_chosen`` copies branch j of state n by
+``np.take`` at flat indices: rows (n r + k) v + j of the (c r v, h)
+products, from (c, r) rows (n r + k) v built once per chunk, and entry
+j c + n of the (v, c) probabilities. What rounds (the ``zgemm``, the
+``einsum`` sums of p_j, the divisions, the normalization) keeps operands
+and order, so no output moves a bit. A tracked 2048 x 600 run on one core
+of a 2-core Xeon: 78-87 ns a trajectory-step, 0.85x the fancy-index time.
 
 Branch choice (``_choose_branches``): the (c, v) probabilities of a chunk
 (c states, v branches) are clipped at 0 into a contiguous branch-major
@@ -342,7 +342,7 @@ def _choose_branches(probs: np.ndarray, uniforms: np.ndarray) -> tuple:
 
 
 def _take_chosen(products: np.ndarray, probs: np.ndarray, chosen: np.ndarray, rows: np.ndarray):
-    """``products[traj, :, chosen]`` and ``probs[chosen, traj]`` by flat indices (module text)."""
+    """``products[traj, :, chosen]`` and ``probs[chosen, traj]``, taken at flat indices."""
     flat = products.reshape(-1, products.shape[-1])
     weights = probs.ravel().take(chosen * len(chosen) + np.arange(len(chosen)))
     return flat.take(rows + chosen[:, None], axis=0), weights

@@ -5,15 +5,15 @@ signature fails only the opt-in perfbench suite; and the experiment scripts
 under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. Two more keep the per-model memo behind its one
 accessor, ``WalkModel.cached``, and every value it holds read-only; one pins
-the bytes of the ``ldp`` sweeps on the fixtures, one those of
-``analyze`` and ``clt`` and one those of ``simulate`` and ``compare``; two keep the superoperator of a channel view behind
-its one builder, ``ChannelView.matrix``; one keeps that matrix real with its
-transpose the only dual map; and one keeps
-``scipy.stats``, which about doubles the import time, out of the package's
-imports. The last four keep the public surface small and true: the package
-exports only its modules, every exception type but the base class is caught
-by name somewhere in the package, every CLI option is read by its command,
-and the README's command examples parse."""
+the bytes of the ``ldp`` sweeps on the fixtures, one those of ``analyze``
+and ``clt`` and one those of ``simulate`` and ``compare``; two keep the
+superoperator of a channel view behind its one builder,
+``ChannelView.matrix``; one keeps that matrix real with its transpose the
+only dual map; and one keeps ``scipy.stats``, which about doubles the import
+time, out of the package's imports. The last four keep the public surface
+small and true: the package exports only its modules, every exception type
+but the base class is caught by name somewhere in the package, every CLI
+option is read by its command, and the README's command examples parse."""
 
 import argparse
 import ast
