@@ -24,6 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +41,17 @@ def matrix_to_json(a) -> list:
     matrix encoding of every JSON file oqwalk reads or writes."""
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` with sorted keys, a two-space indent and a final
+    newline, making the parent directory: the one layout of every JSON file
+    oqwalk writes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -180,9 +192,7 @@ class WalkModel:
         return model
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "WalkModel":

@@ -6,7 +6,8 @@ non-reproducible output field is the wall time recorded in run manifests.
 Only ``simulate`` takes ``--seed``, for its trajectory streams; every
 command decomposes the model by ``structure.decompose(model)``. This module
 owns the ensemble files ``ensemble_n<n>.csv`` and ``manifest_n<n>.json``:
-``simulate`` writes them, ``compare`` and ``ldp`` read them.
+``simulate`` writes them, ``compare`` and ``ldp`` read them. Every CSV file
+is written by ``_write_csv``, and every JSON file by ``channel.write_json``.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 model validation failure,
 3 numerical failure. Any other exception is a bug and propagates with its
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, empirics, simulate, structure
-from .channel import WalkModel, matrix_to_json
+from .channel import WalkModel, matrix_to_json, write_json
 from .errors import NotTracePreservingError, OQWalkError
 from .structure import DiagonalState
 
@@ -89,19 +90,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write the str fields of ``header`` and ``rows`` comma-separated, with
+    CRLF line ends and no quoting, making the parent directory: the one
+    layout of every CSV file oqwalk writes. No field holds a comma, a quote
+    or a line end, so these are the bytes of ``csv.writer``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n"
+    path.write_text(text, newline="")
 
 
 def _fmt(x: float) -> str:
@@ -211,7 +207,7 @@ def cmd_analyze(args) -> int:
             for bid, w, row in zip(dec.block_ids(), bw, ew)
         }
     out = Path(args.out) / "analysis.json"
-    _write_json(out, report)
+    write_json(out, report)
     print(f"wrote {out}")
     return 0
 
@@ -257,7 +253,7 @@ def cmd_clt(args) -> int:
     out_dir = Path(args.out)
     for n in horizons:
         mixture = replace(limit, horizon=n)
-        _write_json(out_dir / f"mixture_n{n}.json", _mixture_payload(mixture))
+        write_json(out_dir / f"mixture_n{n}.json", _mixture_payload(mixture))
         xs = grid
         if xs is None:
             comps = empirics._projected_components(mixture, axis)
@@ -293,36 +289,30 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # positions that would not fit in int64
         raise InputError(str(exc)) from exc
     wall = time.perf_counter() - start
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # what every horizon shares is formatted once: the x0 columns, and the
+    # manifest but for its steps
+    x0_columns = [list(map(str, col)) for col in full.initial_positions.T.tolist()]
+    manifest = _manifest(model, full, wall)
     for n in horizons:
         ensemble = full.at(n)
-        header, rows = _ensemble_rows(ensemble)
-        # no field needs quoting, so one join gives the bytes of csv.writer
-        text = "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n"
-        (out_dir / f"ensemble_n{n}.csv").write_text(text, newline="")
-        _write_json(out_dir / f"manifest_n{n}.json", _manifest(model, ensemble, wall))
+        _write_csv(out_dir / f"ensemble_n{n}.csv", *_ensemble_rows(ensemble, x0_columns))
+        write_json(out_dir / f"manifest_n{n}.json", {**manifest, "steps": n})
         print(f"wrote ensemble_n{n}.csv ({args.traj} trajectories, {wall:.1f}s)")
     return 0
 
 
-def _ensemble_rows(ensemble: simulate.TrajectoryEnsemble) -> tuple[list, list]:
-    """Header and rows of ``ensemble_n<n>.csv``, one line per trajectory."""
+def _ensemble_rows(ensemble: simulate.TrajectoryEnsemble, x0_columns: list) -> tuple[list, list]:
+    """Header and rows of ``ensemble_n<n>.csv``, one line per trajectory;
+    ``x0_columns`` holds the initial positions as str, one list per axis."""
     d = ensemble.final_positions.shape[1]
     track_ids = sorted(ensemble.y_tracks.keys())
-    header = (
-        [f"x0_{j + 1}" for j in range(d)]
-        + [f"x_{j + 1}" for j in range(d)]
-        + [f"y_{tid}" for tid in track_ids]
-    )
+    header = [f"{x}_{j + 1}" for x in ("x0", "x") for j in range(d)]
+    header += [f"y_{tid}" for tid in track_ids]
     # whole columns at once: ``tolist`` yields Python ints and floats, whose
     # str and repr are those of int(v) and float(v)
-    columns = [
-        map(str, col)
-        for pos in (ensemble.initial_positions, ensemble.final_positions)
-        for col in pos.T.tolist()
-    ]
+    columns = [map(str, col) for col in ensemble.final_positions.T.tolist()]
     columns += [map(repr, ensemble.final_track(tid).tolist()) for tid in track_ids]
-    return header, list(zip(*columns))
+    return header, list(zip(*x0_columns, *columns))
 
 
 def _manifest(model: WalkModel, ensemble: simulate.TrajectoryEnsemble, wall_time: float) -> dict:
@@ -352,7 +342,7 @@ def _read_ensemble(path: str) -> tuple[int, np.ndarray]:
         steps = _horizon("steps", json.load(fh)["steps"])
     with _parsing(path):
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(fh), None)  # None for an empty file
             rows = fh.read().splitlines()
         if not rows:
             raise ValueError("no trajectories")
@@ -433,17 +423,11 @@ def cmd_ldp(args) -> int:
     print(f"wrote rate_sweep.csv ({evaluations[0].label}, {len(rows)} points)")
 
     if decay:
-        in_band = [ev.value for t, ev in zip(grid, evaluations) if lo <= t <= hi]
+        in_band = [ev.value for ev in evaluations if lo <= ev.point @ axis <= hi]
         bound = _fmt(-min(in_band)) if in_band else ""
-        decay_rows = [
-            [str(n), _fmt(rate), bound]
-            for n, rate in empirics.ldp_estimate(samples, (lo, hi), axis)
-        ]
-        _write_csv(
-            out_dir / "ldp_decay.csv",
-            ["n", "log_freq_over_n", "rate_bound"],
-            decay_rows,
-        )
+        estimates = empirics.ldp_estimate(samples, (lo, hi), axis)
+        decay_rows = [[str(n), _fmt(rate), bound] for n, rate in estimates]
+        _write_csv(out_dir / "ldp_decay.csv", ["n", "log_freq_over_n", "rate_bound"], decay_rows)
         print("wrote ldp_decay.csv")
     return 0
 

@@ -29,6 +29,7 @@ from .channel import (
     matrix_from_json,
     matrix_to_json,
     perron,
+    write_json,
 )
 from .errors import NumericalDegeneracyError
 from .linalg import (
@@ -135,9 +136,7 @@ class DiagonalState:
         return DiagonalState(entries)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "DiagonalState":

@@ -441,17 +441,29 @@ class TestCompare:
         assert "lattice dimension" in capsys.readouterr().err
 
     def test_ensemble_without_trajectories_is_input_error(self, tmp_path, capsys):
+        """A header line without rows, and a 0-byte file, are input errors
+        for both commands that read ensembles."""
         self._produce(tmp_path)
         path = tmp_path / "ensemble_n30.csv"
-        path.write_text(path.read_text().splitlines()[0] + "\n")
-        rc = main([
-            "compare",
-            "--ensemble", str(path),
-            "--prediction", str(tmp_path / "mixture_n30.json"),
-            "--out", str(tmp_path),
-        ])
-        assert rc == 1
-        assert "no trajectories" in capsys.readouterr().err
+        header = path.read_text().splitlines()[0] + "\n"
+        commands = [
+            ["compare", "--prediction", str(tmp_path / "mixture_n30.json")],
+            [
+                "ldp",
+                "--model", fixture("four_state_p3_sixth.json"),
+                "--state", fixture("state_four_balanced.json"),
+                "--grid=0.0:0.5:0.5",
+                "--interval", "0.1,0.2",
+            ],
+        ]
+        for text in (header, ""):
+            path.write_text(text)
+            for command in commands:
+                capsys.readouterr()
+                rc = main(command + ["--ensemble", str(path), "--out", str(tmp_path / command[0])])
+                assert rc == 1
+                err = capsys.readouterr().err
+                assert f"input error: {path}: ValueError: no trajectories" in err
 
     def test_invalid_prediction_is_input_error(self, tmp_path, capsys):
         self._produce(tmp_path)
@@ -531,21 +543,30 @@ class TestLdp:
             "--out", str(tmp_path),
         ]
         assert main(["simulate"] + base + ["--steps", "60", "--traj", "3000", "--seed", "2"]) == 0
-        rc = main([
-            "ldp", *base,
-            "--grid=0.0:0.9:0.1",
-            "--ensemble", str(tmp_path / "ensemble_n60.csv"),
-            "--interval", "0.3,0.5",
-        ])
-        assert rc == 0
-        header, rows = read_csv(tmp_path / "ldp_decay.csv")
-        assert header == ["n", "log_freq_over_n", "rate_bound"]
-        assert rows[0][0] == "60"
-        # the bound column is minus the lowest swept rate inside the interval
-        _, sweep = read_csv(tmp_path / "rate_sweep.csv")
-        in_band = [float(r[1]) for r in sweep if 0.3 - 1e-9 <= float(r[0]) <= 0.5 + 1e-9]
-        assert len(in_band) == 3
-        assert float(rows[0][2]) == -min(in_band)
+        # the interval bounds (X_n/n)·axis; the sweep points are x = t·axis,
+        # so with axis 2 only t = 0.1 (x = 0.2, projection 0.4) lies in it
+        for axis, count in ((1.0, 3), (2.0, 1)):
+            out = tmp_path / f"axis_{axis:g}"
+            rc = main([
+                "ldp", *base,
+                "--grid=0.0:0.9:0.1",
+                "--ensemble", str(tmp_path / "ensemble_n60.csv"),
+                "--interval", "0.3,0.5",
+                *([] if axis == 1.0 else ["--axis", f"{axis:g}"]),
+                "--out", str(out),
+            ])
+            assert rc == 0
+            header, rows = read_csv(out / "ldp_decay.csv")
+            assert header == ["n", "log_freq_over_n", "rate_bound"]
+            assert rows[0][0] == "60"
+            # the bound column is minus the lowest swept rate whose point
+            # projects into the interval
+            _, sweep = read_csv(out / "rate_sweep.csv")
+            in_band = [
+                float(r[1]) for r in sweep if 0.3 - 1e-9 <= axis * float(r[0]) <= 0.5 + 1e-9
+            ]
+            assert len(in_band) == count
+            assert float(rows[0][2]) == -min(in_band)
 
 
 class TestInputErrors:

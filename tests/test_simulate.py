@@ -1051,7 +1051,8 @@ class TestExport:
             SimConfig(steps=5, trajectories=4, seed=9),
             tracks={"edge": edge_absorption},
         )
-        header, rows = cli._ensemble_rows(ens)
+        x0_columns = [list(map(str, col)) for col in ens.initial_positions.T.tolist()]
+        header, rows = cli._ensemble_rows(ens, x0_columns)
         assert header == ["x0_1", "x_1", "y_edge"]
         assert len(rows) == 4
         assert all(len(r) == 3 for r in rows)

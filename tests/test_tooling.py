@@ -6,7 +6,9 @@ under ``scripts/`` are run by no test at all. These checks make all three
 fail here instead. Two more keep the per-model memo behind its one
 accessor, ``WalkModel.cached``, and every value it holds read-only; one pins
 the bytes of the ``ldp`` sweeps on the fixtures, one those of ``analyze``
-and ``clt`` and one those of ``simulate`` and ``compare``; two keep the
+and ``clt``, one those of ``simulate`` and ``compare`` and one those of the
+``ldp`` decay table, and one checks that the fixtures load and save to their
+own bytes; one keeps each file layout behind its one writer; two keep the
 superoperator of a channel view behind its one builder,
 ``ChannelView.matrix``; one keeps that matrix real with its transpose the
 only dual map; and one keeps ``scipy.stats``, which about doubles the import
@@ -179,6 +181,38 @@ def test_superoperator_is_built_only_by_its_view():
     assert stray == []
 
 
+def test_file_layouts_have_one_writer():
+    """Within the package ``json.dump`` is called only by
+    ``channel.write_json``, no module uses ``csv.writer``, and only
+    ``cli._write_csv`` joins fields or lines of CSV text, so each layout is
+    written in one place."""
+    owners = {"json.dump": ("channel.py", "write_json"), "csv join": ("cli.py", "_write_csv")}
+    stray = []
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                inside.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                stray.append(f"{path.name}:{node.lineno}: from {node.module} import")
+            if not isinstance(node, ast.Attribute):
+                continue
+            value = node.value
+            name = value.id if isinstance(value, ast.Name) else None
+            separator = value.value if isinstance(value, ast.Constant) else None
+            if (name, node.attr) == ("csv", "writer"):
+                stray.append(f"{path.name}:{node.lineno}: csv.writer")
+            for kind, hit in (
+                ("json.dump", (name, node.attr) == ("json", "dump")),
+                ("csv join", node.attr == "join" and separator in (",", "\n", "\r\n")),
+            ):
+                if hit and (path.name, inside.get(id(node))) != owners[kind]:
+                    stray.append(f"{path.name}:{node.lineno}: {kind}")
+    assert stray == []
+
+
 def test_one_superoperator_per_perron_calculus(monkeypatch):
     """One ``diffusion`` and one ``_log_lambda_derivatives`` each build one
     superoperator, for the Perron pair and the bordered solve alike. The
@@ -309,6 +343,41 @@ def test_simulate_output_bytes_are_pinned(tmp_path, model, state, tracking, dige
         h.update(path.name.encode())
         h.update(b"".join(line for line in lines if b'"wall_time_seconds"' not in line))
     assert h.hexdigest() == digest
+
+
+# sha256 of ldp_decay.csv from commuting_diag's decay run, as
+# tests/test_cli.py's TestLdp::test_decay_table makes it
+LDP_DECAY_DIGEST = "197a8404b9584a081b2ae386539a2f7fc1af1ac07ed92cc563e2b681aa2ab2fd"
+
+
+def test_ldp_decay_bytes_are_pinned(tmp_path):
+    """``ldp --ensemble ... --interval ...`` keeps its decay table byte for
+    byte."""
+    from oqwalk import cli
+
+    files = [
+        "--model", str(ROOT / "fixtures" / "commuting_diag.json"),
+        "--state", str(ROOT / "fixtures" / "state_commuting_mixed.json"),
+        "--out", str(tmp_path),
+    ]
+    assert cli.main(["simulate", *files, "--steps", "60", "--traj", "3000", "--seed", "2"]) == 0
+    decay = ["--ensemble", str(tmp_path / "ensemble_n60.csv"), "--interval", "0.3,0.5"]
+    assert cli.main(["ldp", *files, "--grid=0.0:0.9:0.1", *decay]) == 0
+    digest = hashlib.sha256((tmp_path / "ldp_decay.csv").read_bytes()).hexdigest()
+    assert digest == LDP_DECAY_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "fixtures").glob("*.json")))
+def test_fixtures_save_to_their_own_bytes(tmp_path, name):
+    """Loading a fixture and saving it again reproduces the file byte for
+    byte: the models and states are written in the one JSON layout."""
+    from oqwalk.channel import WalkModel
+    from oqwalk.structure import DiagonalState
+
+    source = ROOT / "fixtures" / name
+    kind = DiagonalState if name.startswith("state_") else WalkModel
+    kind.load(source).save(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == source.read_bytes()
 
 
 def _writable_parts(value, where: str) -> list:
