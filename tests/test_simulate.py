@@ -672,7 +672,9 @@ class TestStreams:
     """``trajectory_rng`` keys a chunk's Philox streams in its own code; each
     must be the stream numpy makes for (seed, index)."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**130 + 1]
+    )
     def test_keys_match_seed_sequence(self, seed):
         # the last chunk crosses the index 2**32, from which an index takes
         # two entropy words and its own SeedSequence
