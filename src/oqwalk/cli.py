@@ -82,14 +82,6 @@ def _horizon(name: str, value) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``simulate --seed``: the trajectory streams take
-    seeds >= 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {text}")
-    return int(text)
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     """Write the str fields of ``header`` and ``rows`` comma-separated, with
     CRLF line ends and no quoting, making the parent directory: the one
@@ -269,7 +261,7 @@ def cmd_clt(args) -> int:
 
 def cmd_simulate(args) -> int:
     horizons = _parse_horizons(args.steps)
-    with _parsing("--traj/--y-stride"):
+    with _parsing("--traj/--y-stride/--seed"):
         config = simulate.SimConfig(
             steps=max(horizons),
             trajectories=args.traj,
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--steps", required=True, help="comma-separated horizons")
     p.add_argument("--traj", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0, help="seed of the trajectory streams")
+    p.add_argument("--seed", type=int, default=0, help="seed of the trajectory streams")
     p.add_argument("--y-stride", type=int, default=1)
     p.add_argument(
         "--enclosure-track",

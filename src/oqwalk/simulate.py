@@ -12,14 +12,15 @@ counts. The engine advances all trajectories of a chunk in lockstep with
 batched contractions; this changes nothing statistically because the
 streams are per-trajectory. ``trajectory_rng`` builds a chunk's streams at
 once: ``_philox_keys`` runs numpy's ``SeedSequence`` mixing on whole arrays
-of the entropy words (seed, i) and gives every Philox key, and each
-``Philox`` takes its key through ``_PhiloxKey``, an ``ISeedSequence`` (numpy's
-public seeding interface) that returns it, so no ``SeedSequence`` is built
-and no OS entropy is read per trajectory. A seed or index of 2**32 or more
-takes two entropy words; its stream is seeded through a ``SeedSequence`` of
-its own. Per trajectory (one core of a 2-core Xeon, 4096 streams) the keys
-took 0.05 us and a Philox from its key 3.5-4.1 us, against 12.6-13.7 us for
-a ``SeedSequence``, a ``Philox`` and a ``Generator``.
+of the entropy words (the seed's 32-bit words, then i) and gives every
+Philox key, and each ``Philox`` takes its key through ``_PhiloxKey``, an
+``ISeedSequence`` (numpy's public seeding interface) that returns it, so no
+``SeedSequence`` is built and no OS entropy is read per trajectory. Any seed
+>= 0 is taken, and indices lie below 2**32, which ``SimConfig`` ensures by
+refusing more than 2**32 trajectories. Per trajectory (one core of a 2-core
+Xeon, 4096 streams) the keys took 0.05 us and a Philox from its key 3.5-4.1
+us, against 12.6-13.7 us for a ``SeedSequence``, a ``Philox`` and a
+``Generator``.
 
 Horizons: a trajectory consumes its stream the same way at every horizon, so
 the first n steps of a longer run are, bit for bit, the run to n. One run
@@ -149,6 +150,10 @@ class SimConfig:
         for name, low in (("steps", 0), ("trajectories", 1), ("y_stride", 1), ("seed", 0)):
             if not integer(value := getattr(self, name)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        # stream indices lie below 2**32 (``trajectory_rng``); no run nears
+        # them, as 2**32 trajectories' start and end positions take 64 GiB
+        if self.trajectories > 2**32:
+            raise ValueError(f"trajectories must be at most 2**32, got {self.trajectories}")
         if not all(integer(n) and 0 <= n <= self.steps for n in self.horizons):
             raise ValueError(f"horizons must be integers in [0, {self.steps}]: {self.horizons!r}")
 
@@ -205,11 +210,13 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 
 def _philox_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     """``np.random.SeedSequence(entropy=(seed, i)).generate_state(2, np.uint64)``
-    for every i of the uint32 array ``indices``, a (len(indices), 2) array,
-    for a seed below 2**32: numpy's mixing of a pool of four 32-bit words
-    over the two entropy words (seed, i), run on whole uint32 arrays, whose
-    arithmetic wraps modulo 2**32 as numpy's does. The constants are those
-    of ``numpy/random/bit_generator.pyx``."""
+    for a seed >= 0 and every i of the uint32 array ``indices``, a
+    (len(indices), 2) array: numpy's mixing, run on whole uint32 arrays whose
+    arithmetic wraps modulo 2**32 as numpy's does. The entropy words are the
+    seed's 32-bit words, least significant first (one zero word for 0), then
+    i; the first four seed a pool of four words and every later one is mixed
+    into each pool word. The constants are those of
+    ``numpy/random/bit_generator.pyx``."""
     hash_const = 0x43B0D7E5  # INIT_A
 
     def hashmix(value):
@@ -223,13 +230,17 @@ def _philox_keys(seed: int, indices: np.ndarray) -> np.ndarray:
         result = 0xCA01F9DD * x - 0x4973F715 * y  # MIX_MULT_L, MIX_MULT_R
         return result ^ (result >> 16)
 
-    words = [np.full(len(indices), seed, dtype=np.uint32), indices]
-    words += [np.zeros(len(indices), dtype=np.uint32)] * 2
-    pool = [hashmix(w) for w in words]
+    n = len(indices)
+    offsets = range(0, max(seed.bit_length(), 1), 32)
+    words = [np.full(n, seed >> s & 0xFFFFFFFF, dtype=np.uint32) for s in offsets] + [indices]
+    pool = [hashmix(w) for w in (words + [np.zeros(n, dtype=np.uint32)] * 2)[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = 0x8B51F9DD  # INIT_B
     state = []
     for value in pool:
@@ -243,16 +254,13 @@ def _philox_keys(seed: int, indices: np.ndarray) -> np.ndarray:
 def trajectory_rng(seed: int, lo: int, hi: int) -> list:
     """Counter-based streams of trajectories [lo, hi), each independent of
     all others: trajectory i's Philox bit generator is the one that
-    ``np.random.Philox(np.random.SeedSequence(entropy=(seed, i)))`` makes.
-    Below 2**32 its key comes from ``_philox_keys``; a seed or index of
-    2**32 or more takes two entropy words and a ``SeedSequence`` of its
-    own."""
-    seed = int(seed)
-    split = max(lo, min(hi, 2**32)) if seed < 2**32 else lo
-    keys = _philox_keys(seed, np.arange(lo, split, dtype=np.uint32)) if split > lo else []
-    streams = [np.random.Philox(_PhiloxKey(key)) for key in keys]
-    streams += [np.random.Philox(np.random.SeedSequence((seed, i))) for i in range(split, hi)]
-    return streams
+    ``np.random.Philox(np.random.SeedSequence(entropy=(seed, i)))`` makes,
+    keyed by ``_philox_keys``. Any seed >= 0 is taken and indices must lie
+    below 2**32; ValueError is raised otherwise."""
+    if seed < 0 or hi > 2**32:
+        raise ValueError(f"streams take a seed >= 0 and indices below 2**32: {seed}, [{lo}, {hi})")
+    keys = _philox_keys(int(seed), np.arange(lo, hi, dtype=np.uint32))
+    return [np.random.Philox(_PhiloxKey(key)) for key in keys]
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:

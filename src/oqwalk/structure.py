@@ -195,13 +195,6 @@ def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -
     return list(hunvec(vt[:rank]))
 
 
-def invariant_operators(view: ChannelView) -> list:
-    """Hermitian basis of the fixed-point space {sigma : channel(sigma) = sigma}."""
-    if np.any(view.u):
-        raise ValueError("fixed-point analysis requires the undeformed channel")
-    return _fixed_space_hermitian_basis(view.matrix)
-
-
 def recurrent_space(model: WalkModel) -> Subspace:
     """Span of the supports of all invariant states.
 
@@ -229,7 +222,8 @@ def _frozen(sub: Subspace) -> Subspace:
 
 
 def _recurrent_support(model: WalkModel) -> Subspace:
-    basis = invariant_operators(ChannelView.full(model))
+    # a Hermitian basis of the fixed points {sigma : channel(sigma) = sigma}
+    basis = _fixed_space_hermitian_basis(ChannelView.full(model).matrix)
     acc = np.zeros((model.local_dim, model.local_dim), dtype=complex)
     for x in basis:
         w, v = np.linalg.eigh(x)

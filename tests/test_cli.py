@@ -8,7 +8,7 @@ import pytest
 from oqwalk import asymptotics, channel, cli, simulate, structure
 from oqwalk.cli import InputError, main
 from oqwalk.structure import DiagonalState
-from util import random_irreducible_model
+from util import random_irreducible_model, slow_swap_walk
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -34,6 +34,17 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", "--model", str(bad)]) == 2
+
+    def test_incomplete_absorption_is_numerical_failure(self, monkeypatch, capsys):
+        real = structure.absorption
+
+        def scaled(model, enclosure):
+            op = real(model, enclosure)
+            return structure.AbsorptionOperator(op.enclosure, 4.0 * op.matrix)
+
+        monkeypatch.setattr(structure, "absorption", scaled)
+        assert main(["validate", "--model", fixture("four_state_p3_sixth.json")]) == 3
+        assert "absorption operators do not sum to the identity" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["validate", "--model", "no_such_file.json"]) == 1
@@ -100,6 +111,13 @@ class TestAnalyze:
         report = json.loads((tmp_path / "analysis.json").read_text())
         assert report["transient"]["dim"] == 0
         assert sorted(b["multiplicity"] for b in report["blocks"]) == [1, 2]
+
+    def test_unresolved_fixed_space_is_numerical_failure(self, tmp_path, capsys):
+        model = tmp_path / "slow_swap.json"
+        slow_swap_walk(1e-8).save(model)
+        assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 3
+        assert "too close to 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unverified_absorption_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(structure, "_absorption_defect", lambda *args: 1.0)
@@ -643,17 +661,22 @@ class TestInputErrors:
     def test_non_integer_horizon(self, tmp_path, capsys):
         assert "input error: --steps" in self.run(tmp_path, capsys, "clt", "--steps", "10,x")
 
-    @pytest.mark.parametrize("argv", [["--traj", "0"], ["--traj", "10", "--y-stride", "0"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--traj", "0"], ["--traj", "10", "--y-stride", "0"], ["--traj", "4294967297"]],
+    )
     def test_zero_simulation_setting(self, tmp_path, capsys, argv):
+        # 2**32 + 1 trajectories would take a stream index of 2**32
         err = self.run(tmp_path, capsys, "simulate", "--steps", "10", *argv)
-        assert "input error: --traj/--y-stride" in err
+        assert "input error: --traj/--y-stride/--seed" in err
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_negative_seed(self, tmp_path, capsys, command):
         # only simulate takes a seed; the other commands refuse the option
         err = self.run(tmp_path, capsys, command, *self.REQUIRED[command], "--seed", "-1")
         if command == "simulate":
-            assert "need a seed >= 0" in err
+            assert "input error: --traj/--y-stride/--seed" in err
+            assert "seed must be an integer >= 0, got -1" in err
         else:
             assert "unrecognized arguments: --seed" in err
 

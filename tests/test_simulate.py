@@ -297,9 +297,9 @@ class TestRun:
         )
 
     def test_reproducible_digest_large_seed(self, monkeypatch, four_state_module, edge_absorption):
-        # pinned before the chunk keys were derived in simulate's own code: a
-        # seed of 2**40 takes two entropy words, so every stream falls back to
-        # a SeedSequence of its own
+        # pinned while a seed of 2**40, which takes two entropy words, was
+        # seeded through a SeedSequence per stream; its keys now come from
+        # the same vectorized mixing as every other seed's
         rho = DiagonalState({(0,): np.diag([0.5, 0, 0, 0]), (5,): np.diag([0, 0, 0, 0.5])})
         monkeypatch.setattr(simulate, "CHUNK", 64)
         monkeypatch.setattr(simulate, "DRAW_BLOCK", 16)
@@ -445,6 +445,12 @@ class TestRun:
     def test_counts_must_be_integers(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SimConfig(**{"steps": 4, "trajectories": 3, "seed": 0, name: bad})
+
+    def test_trajectories_at_most_2_32(self):
+        # trajectory i's stream takes i as one 32-bit entropy word
+        SimConfig(steps=4, trajectories=2**32, seed=0)
+        with pytest.raises(ValueError, match="trajectories must be at most 2\\*\\*32"):
+            SimConfig(steps=4, trajectories=2**32 + 1, seed=0)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(1.0), True, np.bool_(False), "2", None])
     def test_horizons_must_be_integers(self, bad):
@@ -676,9 +682,9 @@ class TestStreams:
         "seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**130 + 1]
     )
     def test_keys_match_seed_sequence(self, seed):
-        # the last chunk crosses the index 2**32, from which an index takes
-        # two entropy words and its own SeedSequence
-        for lo, hi in [(0, 40), (2**31 - 2, 2**31 + 2), (2**32 - 3, 2**32 + 3)]:
+        # a seed of k 32-bit words and the index make k + 1 entropy words; from
+        # 2**96 on the index is the fifth, mixed into the pool after it
+        for lo, hi in [(0, 40), (2**31 - 2, 2**31 + 2), (2**32 - 6, 2**32)]:
             streams = simulate.trajectory_rng(seed, lo, hi)
             assert len(streams) == hi - lo
             for i, g in zip(range(lo, hi), streams):
@@ -686,8 +692,9 @@ class TestStreams:
                 state = g.state["state"]
                 assert np.array_equal(state["key"], key), (seed, i)
                 assert not state["counter"].any()
-                fallback = seed >= 2**32 or i >= 2**32
-                assert isinstance(g.seed_seq, np.random.SeedSequence) == fallback
+                assert isinstance(g.seed_seq, simulate._PhiloxKey)
+        with pytest.raises(ValueError, match="indices below 2"):
+            simulate.trajectory_rng(seed, 2**32 - 1, 2**32 + 1)
 
     @pytest.mark.parametrize("seed", [7, 2**40])
     def test_uniforms_follow_numpy_random(self, monkeypatch, seed):
@@ -716,7 +723,7 @@ class TestStreams:
         for i in range(5):
             assert np.array_equal(drawn[i], reference_stream(seed, i).random(1 + n_steps))
 
-    def test_no_seed_sequence_below_2_32(self, monkeypatch, four_state_module, transient_rho):
+    def test_no_seed_sequence_for_any_seed(self, monkeypatch, four_state_module, transient_rho):
         # a SeedSequence per stream takes about three times what the keyed path does
         seed_sequence, built, streams = np.random.SeedSequence, [], []
         rng = simulate.trajectory_rng
@@ -733,12 +740,11 @@ class TestStreams:
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         monkeypatch.setattr(simulate, "trajectory_rng", recorded_streams)
         monkeypatch.setattr(simulate, "CHUNK", 64)
-        for seed, expected in [(2**32 - 1, 0), (2**32, 150)]:
-            built.clear()
+        for seed in (2**32 - 1, 2**32):
             run(four_state_module, transient_rho, SimConfig(steps=5, trajectories=150, seed=seed))
-            assert len(built) == expected
-        keyed = [isinstance(g.seed_seq, seed_sequence) for g in streams]
-        assert keyed == [False] * 150 + [True] * 150
+        assert built == []
+        assert len(streams) == 300
+        assert all(isinstance(g.seed_seq, simulate._PhiloxKey) for g in streams)
 
     @pytest.mark.parametrize(
         "seed", [1.7, 1.0, np.float64(2.0), True, np.bool_(False), -1, np.int64(-3), "3", None]

@@ -15,10 +15,10 @@ from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace, orthonormal_complement
 from oqwalk.structure import (
     DiagonalState,
+    _fixed_space_hermitian_basis,
     absorption,
     decompose,
     enclosure_defect,
-    invariant_operators,
     reachable_space,
     recurrent_space,
     transient_space,
@@ -30,6 +30,7 @@ from util import (
     martingale_check,
     random_densities,
     random_density,
+    slow_swap_walk,
     subspace_angle,
 )
 
@@ -71,14 +72,14 @@ def rotated_commuting_model(theta=0.6):
 
 class TestInvariantOperators:
     def test_two_state_unique(self, two_state):
-        basis = invariant_operators(ChannelView.full(two_state))
+        basis = _fixed_space_hermitian_basis(ChannelView.full(two_state).matrix)
         assert len(basis) == 1
         x = basis[0]
         np.testing.assert_allclose(x / x[1, 1], np.diag([0.0, 1.0]), atol=1e-9)
 
     def test_four_state_half_fixed_space(self, four_state_half):
         # invariant operators are x*sigma + (1-x)|e3><e3| with sigma on span{e1,e2}
-        basis = invariant_operators(ChannelView.full(four_state_half))
+        basis = _fixed_space_hermitian_basis(ChannelView.full(four_state_half).matrix)
         assert len(basis) == 5
         allowed = np.zeros((4, 4), dtype=bool)
         allowed[1:3, 1:3] = True
@@ -88,7 +89,7 @@ class TestInvariantOperators:
 
     def test_identity_kraus_fixes_everything(self):
         model = models.single_shift_walk(shift=1, dim=2)
-        basis = invariant_operators(ChannelView.full(model))
+        basis = _fixed_space_hermitian_basis(ChannelView.full(model).matrix)
         assert len(basis) == 4
 
 
@@ -222,6 +223,14 @@ class TestDecompose:
             decompose(model, seed=0)
         assert len(sizes) == 5 and min(sizes) >= 2
         assert max(defects) <= structure.TOL_ENCLOSURE
+
+
+    def test_eigenvalue_near_1_is_refused(self):
+        # 1 - 2e-8 lies between TOL_FIXED and AMBIGUITY_BAND; at eps = 1e-6
+        # the same walk splits into two blocks
+        assert [b.subspace.dim for b in decompose(slow_swap_walk(1e-6)).blocks] == [1, 1]
+        with pytest.raises(NumericalDegeneracyError, match="too close to 1"):
+            decompose(slow_swap_walk(1e-8))
 
 
 class TestGroundTruth:

@@ -8,7 +8,9 @@ accessor, ``WalkModel.cached``, and every value it holds read-only; one pins
 the bytes of the ``ldp`` sweeps on the fixtures, one those of ``analyze``
 and ``clt``, one those of ``simulate`` and ``compare`` and one those of the
 ``ldp`` decay table, and one checks that the fixtures load and save to their
-own bytes; one keeps each file layout behind its one writer; two keep the
+own bytes; one keeps each file layout behind its one writer; one keeps
+numpy's ``SeedSequence`` out of the package, whose streams are keyed in one
+place; two keep the
 superoperator of a channel view behind its one builder,
 ``ChannelView.matrix``; one keeps that matrix real with its transpose the
 only dual map; and one keeps ``scipy.stats``, which about doubles the import
@@ -210,6 +212,22 @@ def test_file_layouts_have_one_writer():
             ):
                 if hit and (path.name, inside.get(id(node))) != owners[kind]:
                     stray.append(f"{path.name}:{node.lineno}: {kind}")
+    assert stray == []
+
+
+def test_streams_keyed_without_seed_sequence():
+    """No package code names numpy's ``SeedSequence``: every trajectory
+    stream is keyed by ``simulate._philox_keys``, for every seed. Prose and
+    ``ISeedSequence``, the seeding interface that hands over a key, are
+    allowed."""
+    stray = []
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if "SeedSequence" in names:
+                stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 

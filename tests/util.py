@@ -139,3 +139,12 @@ def bernoulli_rate(x: float, p_right: float) -> float:
     if q_minus > 0:
         acc += q_minus * np.log(q_minus / (1.0 - p_right))
     return float(acc)
+
+
+def slow_swap_walk(eps: float) -> WalkModel:
+    """Two-level walk with shifts -1, +1 and Kraus operators sqrt(1 - eps) I
+    and sqrt(eps) X, X the swap: its dual channel has the eigenvalue
+    1 - 2 eps, within ``AMBIGUITY_BAND`` of 1 but beyond ``TOL_FIXED`` at
+    eps = 1e-8."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return WalkModel(shifts=[[-1], [1]], kraus=[np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * swap])
