@@ -17,6 +17,17 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def scale_absorption(monkeypatch, factor: float) -> None:
+    """Make ``structure.absorption`` return every operator times ``factor``."""
+    real = structure.absorption
+
+    def scaled(model, enclosure):
+        op = real(model, enclosure)
+        return structure.AbsorptionOperator(op.enclosure, factor * op.matrix)
+
+    monkeypatch.setattr(structure, "absorption", scaled)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -36,13 +47,7 @@ class TestValidate:
         assert main(["validate", "--model", str(bad)]) == 2
 
     def test_incomplete_absorption_is_numerical_failure(self, monkeypatch, capsys):
-        real = structure.absorption
-
-        def scaled(model, enclosure):
-            op = real(model, enclosure)
-            return structure.AbsorptionOperator(op.enclosure, 4.0 * op.matrix)
-
-        monkeypatch.setattr(structure, "absorption", scaled)
+        scale_absorption(monkeypatch, 4.0)
         assert main(["validate", "--model", fixture("four_state_p3_sixth.json")]) == 3
         assert "absorption operators do not sum to the identity" in capsys.readouterr().err
 
@@ -389,13 +394,7 @@ class TestSimulate:
     def test_track_out_of_range_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # an absorption operator scaled past the identity starts the
         # transient state's track at 4/3
-        real = structure.absorption
-
-        def scaled(model, enclosure):
-            op = real(model, enclosure)
-            return structure.AbsorptionOperator(op.enclosure, 4.0 * op.matrix)
-
-        monkeypatch.setattr(structure, "absorption", scaled)
+        scale_absorption(monkeypatch, 4.0)
         rc = main([
             "simulate",
             "--model", fixture("four_state_p3_sixth.json"),

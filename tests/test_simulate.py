@@ -695,6 +695,8 @@ class TestStreams:
                 assert isinstance(g.seed_seq, simulate._PhiloxKey)
         with pytest.raises(ValueError, match="indices below 2"):
             simulate.trajectory_rng(seed, 2**32 - 1, 2**32 + 1)
+        with pytest.raises(ValueError, match="seed >= 0"):  # not another seed's words
+            simulate.trajectory_rng(-1 - seed, 0, 1)
 
     @pytest.mark.parametrize("seed", [7, 2**40])
     def test_uniforms_follow_numpy_random(self, monkeypatch, seed):
