@@ -479,9 +479,9 @@ def rate_function(
     else:
         reachable = reachable_space(model, rho)
         parts = [
-            (f"{bid}/min-{j}", _reachable_compression(model, sub, reachable))
-            for bid, row, block in zip(ids, enclosure_weights, blocks)
-            for j, (w, sub) in enumerate(zip(row, block.minimal_enclosures))
+            (eid, _reachable_compression(model, sub, reachable))
+            for eids, row, block in zip(decomposition.enclosure_ids(), enclosure_weights, blocks)
+            for eid, w, sub in zip(eids, row, block.minimal_enclosures)
             if w > WEIGHT_FLOOR
         ]
         label, note = "bounds-only", NONSMOOTH_CAVEAT

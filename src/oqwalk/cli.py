@@ -143,9 +143,9 @@ def _resolve_tracks(model, track_ids) -> dict:
     any other spelling is an InputError."""
     dec = structure.decompose(model)
     subspaces = {}
-    for bid, block in zip(dec.block_ids(), dec.blocks):
+    for bid, eids, block in zip(dec.block_ids(), dec.enclosure_ids(), dec.blocks):
         subspaces[bid] = block.subspace
-        subspaces.update((f"{bid}/min-{j}", sub) for j, sub in enumerate(block.minimal_enclosures))
+        subspaces.update(zip(eids, block.minimal_enclosures))
     unknown = [tid for tid in track_ids if tid not in subspaces]
     if unknown:
         raise InputError(f"enclosure tracks {unknown}: the ids are {sorted(subspaces)}")

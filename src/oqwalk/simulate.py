@@ -18,9 +18,9 @@ Philox key, and each ``Philox`` takes its key through ``_PhiloxKey``, an
 ``SeedSequence`` is built and no OS entropy is read per trajectory. Any seed
 >= 0 is taken, and indices lie below 2**32, which ``SimConfig`` ensures by
 refusing more than 2**32 trajectories. Per trajectory (one core of a 2-core
-Xeon, 4096 streams) the keys took 0.05 us and a Philox from its key 3.5-4.1
-us, against 12.6-13.7 us for a ``SeedSequence``, a ``Philox`` and a
-``Generator``.
+Xeon, 4096 streams) the keys took 0.05 us and a ``Generator`` over a Philox
+from its key about 4 us (3.5-4.1), against 11.5-13.7 us for a
+``SeedSequence``, a ``Philox`` and a ``Generator``.
 
 Horizons: a trajectory consumes its stream the same way at every horizon, so
 the first n steps of a longer run are, bit for bit, the run to n. One run
@@ -99,13 +99,12 @@ the choice is the same bits as ``min(sum(cumsum(p / total) < u), v - 1)``.
 A total below 1e-14 or not a number, and a chosen weight below 1e-14 or not
 a number, raise NumericalDegeneracyError.
 
-Uniforms: each stream is called once per block of ``DRAW_BLOCK`` steps,
-``random_raw`` into a reused uint64 block, and its first call also gives the
-start's uniform. ``_uniforms`` turns the raw words w into (w >> 11) * 2**-53,
-the conversion of numpy's ``random()``, over the block in place. Consecutive
-calls continue the same stream, so the uniforms are, bit for bit, those that
+Uniforms: each stream's ``Generator.random`` fills its row of a reused
+float64 block, once per block of ``DRAW_BLOCK`` steps, and its first call
+also gives the start's uniform. Consecutive calls continue the same stream,
+so the uniforms are, bit for bit, those that
 ``Generator(Philox(SeedSequence((seed, i)))).random()`` returns one by one,
-and blocking changes no value. A call cost 0.8 us plus about 5 ns a word.
+and blocking changes no value. A call cost about 0.6 us plus 5 ns a word.
 """
 
 from __future__ import annotations
@@ -253,26 +252,14 @@ def _philox_keys(seed: int, indices: np.ndarray) -> np.ndarray:
 
 def trajectory_rng(seed: int, lo: int, hi: int) -> list:
     """Counter-based streams of trajectories [lo, hi), each independent of
-    all others: trajectory i's Philox bit generator is the one that
-    ``np.random.Philox(np.random.SeedSequence(entropy=(seed, i)))`` makes,
-    keyed by ``_philox_keys``. Any seed >= 0 is taken and indices must lie
-    below 2**32; ValueError is raised otherwise."""
+    all others: trajectory i's ``Generator`` is the one numpy builds over
+    ``np.random.Philox(np.random.SeedSequence(entropy=(seed, i)))``, its
+    Philox keyed by ``_philox_keys``. Any seed >= 0 is taken and indices
+    must lie below 2**32; ValueError is raised otherwise."""
     if seed < 0 or hi > 2**32:
         raise ValueError(f"streams take a seed >= 0 and indices below 2**32: {seed}, [{lo}, {hi})")
     keys = _philox_keys(int(seed), np.arange(lo, hi, dtype=np.uint32))
-    return [np.random.Philox(_PhiloxKey(key)) for key in keys]
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The doubles (w >> 11) * 2**-53 that numpy's ``random()`` makes of raw
-    Philox words w, written over the 2-D ``words`` and returned as a float64
-    view of it; converted a slab of rows at a time, so that the temporary
-    copy numpy makes of an operand it overwrites stays small."""
-    words >>= 11
-    out = words.view(np.float64)
-    for k in range(0, len(words), 64):
-        np.multiply(words[k : k + 64], 2.0**-53, out=out[k : k + 64])
-    return out
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
 
 
 def _snapshot_steps(steps: int, stride: int) -> np.ndarray:
@@ -555,17 +542,16 @@ def run(
     def step_chunk(lo, hi):
         c = hi - lo
         streams = trajectory_rng(config.seed, lo, hi)
-        words = np.empty((c, 1 + min(DRAW_BLOCK, n_steps)), dtype=np.uint64)
+        block = np.empty((c, 1 + min(DRAW_BLOCK, n_steps)))
 
         def draw(width):
             """The next ``width`` uniforms of every stream, one call each."""
-            block = words[:, :width]
-            for g, row in zip(streams, block):
-                row[:] = g.random_raw(width)
-            return _uniforms(block)
+            for g, row in zip(streams, block[:, :width]):
+                g.random(out=row)
+            return block[:, :width]
 
         rows = np.arange(c * starts.shape[1]).reshape(c, -1) * len(shifts)
-        uniforms = draw(words.shape[1])  # the start's uniform, then a block
+        uniforms = draw(block.shape[1])  # the start's uniform, then a block
         start_idx = np.minimum(
             np.searchsorted(start_cdf, uniforms[:, 0], side="right"), len(start_cdf) - 1
         )

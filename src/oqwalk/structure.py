@@ -170,6 +170,13 @@ class SpaceDecomposition:
     def block_ids(self) -> list:
         return [f"block-{i}" for i in range(len(self.blocks))]
 
+    def enclosure_ids(self) -> list:
+        """Per block, the ids of its minimal enclosures: ``block-i/min-j``."""
+        return [
+            [f"{bid}/min-{j}" for j in range(block.multiplicity)]
+            for bid, block in zip(self.block_ids(), self.blocks)
+        ]
+
 
 def enclosure_defect(model: WalkModel, subspace: Subspace) -> float:
     """max_i ||L_i P - P L_i P||; zero exactly when the subspace is an enclosure."""

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import hashlib
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,15 +108,14 @@ def scalar_trajectory(model, rho, seed, index, snapshots, ops, pure=False):
 
 
 class FixedDraws:
-    """Bit generator stand-in whose every raw word makes the uniform ``u``,
-    a multiple of 2**-53."""
+    """Generator stand-in whose every uniform is ``u``."""
 
     def __init__(self, u):
-        self.word = np.uint64(int(u * 2**53) << 11)
-        assert (self.word >> 11) * 2.0**-53 == u
+        self.u = u
 
-    def random_raw(self, size):
-        return np.full(size, self.word)
+    def random(self, out):
+        out[:] = self.u
+        return out
 
 
 def cut_model():
@@ -560,6 +561,89 @@ class TestRun:
         assert caller == [[1] * len(blas)]  # one call for the caller's one chunk
         assert [get() for get, _ in blas] == before
 
+    def test_caller_error_kills_running_child(self, monkeypatch):
+        # the caller's own slice fails while the child's still runs: the
+        # child is killed rather than waited for, and the BLAS counts the
+        # caller set come back
+        blas = simulate._openblas_thread_controls()
+        before = [get() for get, _ in blas]
+        error = KeyError("the caller's slice")
+
+        def rng(seed, lo, hi):
+            if lo >= 4:  # the child sleeps far longer than the run may take
+                time.sleep(60)
+            raise error
+
+        monkeypatch.setattr(simulate, "trajectory_rng", rng)
+        forked = force_workers(monkeypatch, 2)
+        try:
+            for _, set_threads in blas:
+                set_threads(2)
+            expected = [get() for get, _ in blas]
+            rho, start = DiagonalState.single_site(np.diag([1.0, 0.0])), time.monotonic()
+            with pytest.raises(KeyError) as caught:
+                run(cut_model(), rho, SimConfig(5, 8, 0))
+            assert time.monotonic() - start < 30
+            assert [get() for get, _ in blas] == expected
+        finally:
+            for (_, set_threads), n in zip(blas, before):
+                set_threads(n)
+        assert caught.value is error
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exit_without_writing(self, monkeypatch):
+        # a child that ends before it writes its pipe leaves no data to read
+        def rng(seed, lo, hi):
+            if lo >= 4:
+                os._exit(7)
+            return [FixedDraws(0.25)] * (hi - lo)
+
+        monkeypatch.setattr(simulate, "trajectory_rng", rng)
+        forked = force_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as caught:
+            run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 8, 0))
+        assert len(forked) == 1
+        message = f"simulation worker {forked[0]} ended with wait status "
+        assert str(caught.value).startswith(message)
+        assert os.waitstatus_to_exitcode(int(str(caught.value)[len(message):])) == 7
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        # at 3 slices the second fork fails: the first child is reaped, and
+        # every pipe end, the failed fork's too, is closed
+        forked = force_workers(monkeypatch, 3)
+        fork, pipe, pipes = os.fork, os.pipe, []
+        error = OSError(errno.EAGAIN, "fork refused")
+
+        def second_fork_fails():
+            if forked:
+                raise error
+            return fork()
+
+        def recorded_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        with pytest.raises(OSError) as caught:
+            run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 9, 0))
+        open_ends = []
+        for fd in (fd for ends in pipes for fd in ends):
+            try:
+                os.fstat(fd)
+                open_ends.append(fd)
+            except OSError:
+                pass
+        assert caught.value is error
+        assert len(forked) == 1 and len(pipes) == 2
+        assert open_ends == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("size", ["analysis_h16", "smoke", "few_trajectories"])
     def test_small_runs_stay_in_process(self, monkeypatch, four_state_module, transient_rho, size):
         def no_fork():
@@ -664,14 +748,16 @@ class TestRun:
 
 
 class CountedDraws:
-    """A bit generator that records the size of every ``random_raw`` call."""
+    """A Generator stand-in that records a copy of every block its
+    stream's ``random`` fills."""
 
-    def __init__(self, stream, calls):
-        self.stream, self.calls = stream, calls
+    def __init__(self, stream, blocks):
+        self.stream, self.blocks = stream, blocks
 
-    def random_raw(self, size):
-        self.calls.append(size)
-        return self.stream.random_raw(size)
+    def random(self, out):
+        self.stream.random(out=out)
+        self.blocks.append(out.copy())
+        return out
 
 
 class TestStreams:
@@ -689,10 +775,11 @@ class TestStreams:
             assert len(streams) == hi - lo
             for i, g in zip(range(lo, hi), streams):
                 key = np.random.SeedSequence(entropy=(seed, i)).generate_state(2, np.uint64)
-                state = g.state["state"]
+                assert isinstance(g, np.random.Generator)
+                state = g.bit_generator.state["state"]
                 assert np.array_equal(state["key"], key), (seed, i)
                 assert not state["counter"].any()
-                assert isinstance(g.seed_seq, simulate._PhiloxKey)
+                assert isinstance(g.bit_generator.seed_seq, simulate._PhiloxKey)
         with pytest.raises(ValueError, match="indices below 2"):
             simulate.trajectory_rng(seed, 2**32 - 1, 2**32 + 1)
         with pytest.raises(ValueError, match="seed >= 0"):  # not another seed's words
@@ -703,27 +790,21 @@ class TestStreams:
         # 2 * DRAW_BLOCK + 3 steps take three draw calls per trajectory: the
         # start's uniform with the first block, a whole block, then 3
         n_steps = 2 * simulate.DRAW_BLOCK + 3
-        drawn, calls = [], {}
-        uniforms, streams = simulate._uniforms, simulate.trajectory_rng
-
-        def recording_uniforms(words):
-            out = uniforms(words)
-            drawn.append(out.copy())
-            return out
+        drawn, streams = {}, simulate.trajectory_rng
 
         def counted_streams(seed, lo, hi):
             chunk = zip(range(lo, hi), streams(seed, lo, hi))
-            return [CountedDraws(g, calls.setdefault(i, [])) for i, g in chunk]
+            return [CountedDraws(g, drawn.setdefault(i, [])) for i, g in chunk]
 
-        monkeypatch.setattr(simulate, "_uniforms", recording_uniforms)
         monkeypatch.setattr(simulate, "trajectory_rng", counted_streams)
         model = models.two_state_biased_walk()
         run(model, DiagonalState.single_site(np.eye(2) / 2), SimConfig(n_steps, 5, seed))
         block = simulate.DRAW_BLOCK
+        calls = {i: [len(b) for b in blocks] for i, blocks in drawn.items()}
         assert calls == {i: [1 + block, block, 3] for i in range(5)}
-        drawn = np.concatenate(drawn, axis=1)
         for i in range(5):
-            assert np.array_equal(drawn[i], reference_stream(seed, i).random(1 + n_steps))
+            expected = reference_stream(seed, i).random(1 + n_steps)
+            assert np.array_equal(np.concatenate(drawn[i]), expected)
 
     def test_no_seed_sequence_for_any_seed(self, monkeypatch, four_state_module, transient_rho):
         # a SeedSequence per stream takes about three times what the keyed path does
@@ -746,7 +827,8 @@ class TestStreams:
             run(four_state_module, transient_rho, SimConfig(steps=5, trajectories=150, seed=seed))
         assert built == []
         assert len(streams) == 300
-        assert all(isinstance(g.seed_seq, simulate._PhiloxKey) for g in streams)
+        assert all(isinstance(g, np.random.Generator) for g in streams)
+        assert all(isinstance(g.bit_generator.seed_seq, simulate._PhiloxKey) for g in streams)
 
     @pytest.mark.parametrize(
         "seed", [1.7, 1.0, np.float64(2.0), True, np.bool_(False), -1, np.int64(-3), "3", None]

@@ -231,6 +231,21 @@ def test_streams_keyed_without_seed_sequence():
     assert stray == []
 
 
+def test_uniforms_from_generator_random():
+    """No package code calls ``random_raw``: every uniform a trajectory draws
+    comes from numpy's own ``Generator.random``, so no code of ours
+    converts raw Philox words into doubles."""
+    stray = []
+    for path in sorted((ROOT / "src" / "oqwalk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "random_raw":
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
 def test_one_superoperator_per_perron_calculus(monkeypatch):
     """One ``diffusion`` and one ``_log_lambda_derivatives`` each build one
     superoperator, for the Perron pair and the bordered solve alike. The
