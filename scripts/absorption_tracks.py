@@ -35,7 +35,7 @@ def main() -> None:
     mat[0, 0] = 1.0
     rho = structure.DiagonalState.single_site(mat)
 
-    dec = structure.decompose(model, seed=0)
+    dec = structure.decompose(model)
     tracks = {
         bid: structure.absorption(model, block.subspace).matrix
         for bid, block in zip(dec.block_ids(), dec.blocks)

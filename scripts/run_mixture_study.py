@@ -48,7 +48,7 @@ def main() -> None:
         mat[0, 0] = 1.0
     rho = structure.DiagonalState.single_site(mat)
 
-    dec = structure.decompose(model, seed=0)
+    dec = structure.decompose(model)
     bw, _ = structure.weights(model, dec, rho)
     print("block weights:", [round(w, 6) for w in bw])
 

@@ -374,6 +374,8 @@ def _ascent_nd(evaluate, d: int) -> np.ndarray:
                     mu = max(mu * 10, 1e-10)
             if not np.all(np.isfinite(step)) or float(step @ g) <= 0:
                 step = g  # fall back to plain ascent
+            elif 0.5 * float(g @ step) <= 4 * np.finfo(float).eps * max(1.0, abs(val)):
+                break  # Newton decrement at roundoff (Boyd-Vandenberghe 9.5)
         t = 1.0
         while t > 2.0**-40:
             trial = _clip_to_ball(u + t * step, U_MAX)

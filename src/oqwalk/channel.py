@@ -117,11 +117,10 @@ class WalkModel:
     structural checks (ValueError). A model is immutable: it holds read-only
     copies of the arrays it was given, so structure computed from it never
     goes stale. ``cached`` is the one memo: the recurrent split, each
-    absorption operator, each ``decompose(model, seed)`` and the Legendre
-    anchors (log lambda with its gradient and Hessian at u = 0, and at
-    u = +-U_MAX in d = 1, per compression) are built on first use and shared
-    after, so what they return is read-only. Copies and pickles start with an
-    empty memo.
+    absorption operator, ``decompose(model)`` and the Legendre anchors (log
+    lambda with its gradient and Hessian at u = 0, and at u = +-U_MAX in
+    d = 1, per compression) are built on first use and shared after, so what
+    they return is read-only. Copies and pickles start with an empty memo.
     """
 
     shifts: np.ndarray  # (v, d) integer lattice vectors

@@ -410,9 +410,9 @@ def _run_slices(step_slice, bounds: list, outputs: list) -> None:
             data = pipe.read()
             pipe.close()
             children.pop(0)
-            _, status = os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # -signal if killed
             if not data:
-                raise RuntimeError(f"simulation worker {pid} ended with wait status {status}")
+                raise RuntimeError(f"simulation worker {pid} ended with exit code {code}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value

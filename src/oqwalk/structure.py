@@ -6,11 +6,11 @@ absorption operators, reachable enclosures, and the induced mixture weights
 of an initial diagonal state.
 
 The block decomposition follows the fixed-point-algebra route (Carbone and
-Pautrat 2016): on the recurrent subspace a generic Hermitian x in the dual
-fixed-point algebra (+) M_m (x) I has one eigenspace per minimal enclosure
-copy. Compressed into x's eigenbasis, the algebra has scalar diagonal blocks
-exactly on minimal enclosures, and a nonzero block exactly between two copies
-in one block.
+Pautrat 2016): on the recurrent subspace the dual fixed points form an
+algebra (+) M_m (x) I. Its minimal projections are the minimal enclosures,
+found by cutting along spectral projections of its elements, with no random
+draw. Compressed to them, the algebra is scalar on each one and nonzero
+exactly between two copies in one block.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def enclosure_defect(model: WalkModel, subspace: Subspace) -> float:
     )
 
 
-def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -> list:
-    """Orthonormal Hermitian basis of the eigenvalue-1 eigenspace of a real superoperator."""
+def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -> np.ndarray:
+    """Stacked orthonormal Hermitian basis of the fixed space of a real superoperator."""
     vals, vecs = np.linalg.eig(m)
     dist = np.abs(vals - 1.0)
     close = dist <= TOL_FIXED
@@ -199,7 +199,7 @@ def _fixed_space_hermitian_basis(m: np.ndarray, guard_ambiguity: bool = False) -
     rows = np.vstack([vecs[:, close].real.T, vecs[:, close].imag.T])
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > 1e-9 * np.max(s, initial=1.0)))
-    return list(hunvec(vt[:rank]))
+    return hunvec(vt[:rank])
 
 
 def recurrent_space(model: WalkModel) -> Subspace:
@@ -254,46 +254,34 @@ def _count_fixed(eigenvalues: np.ndarray) -> int:
 def decompose(model: WalkModel, seed: int = 0) -> SpaceDecomposition:
     """Recurrent/transient split plus the canonical block structure.
 
-    Random draws are controlled by ``seed``; the block subspaces are
-    canonical, while the minimal enclosures inside a multiplicity block are
-    one valid choice among infinitely many.
+    The split draws nothing (``_minimal_projections``), and ``seed`` is
+    accepted and ignored. The block subspaces are canonical; the minimal
+    enclosures inside a multiplicity block are one valid choice, fixed by the
+    model's basis. Every candidate must be an enclosure with scalar dual
+    fixed points, else NumericalDegeneracyError; it joins the first block
+    whose first member a dual fixed point links it to.
 
-    A draw is accepted when every candidate is an enclosure with scalar dual
-    fixed points (five draws, then NumericalDegeneracyError). A candidate joins
-    the first block whose first member a dual fixed point links it to.
-
-    Memoized per (model, seed) through ``WalkModel.cached``: a repeated call
-    returns the same shared decomposition and runs no eigensolve. Its
-    containers are tuples and its arrays read-only.
+    Memoized per model through ``WalkModel.cached``: a repeated call returns
+    the same shared decomposition and runs no eigensolve. Its containers are
+    tuples and its arrays read-only.
     """
-    return model.cached(("decompose", seed), lambda: _decompose(model, seed))
+    return model.cached("decompose", lambda: _decompose(model))
 
 
-def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
+def _decompose(model: WalkModel) -> SpaceDecomposition:
     rec = recurrent_space(model)
-    tra = transient_space(model)
     m_r = ChannelView(model, rec).matrix
     # fixed points of the dual channel restricted to the recurrent space
-    dual_basis = _fixed_space_hermitian_basis(m_r.T, guard_ambiguity=True)
-    if not dual_basis:
+    ops = _fixed_space_hermitian_basis(m_r.T, guard_ambiguity=True)
+    if not len(ops):
         raise NumericalDegeneracyError("empty dual fixed-point space on recurrent part")
 
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        coeffs = rng.standard_normal(len(dual_basis))
-        x = sum(c * b for c, b in zip(coeffs, dual_basis))
-        w, v = np.linalg.eigh(x)
-        clusters = _cluster_eigenvalues(w)
-        # dual fixed points in x's eigenbasis; block (a, b) maps candidate b to a
-        comp = v.conj().T @ np.array(dual_basis) @ v
-        candidates = [Subspace(model.local_dim, rec.basis @ v[:, idx]) for idx in clusters]
-        if all(
-            enclosure_defect(model, sub) <= TOL_ENCLOSURE
-            and _is_scalar(comp[:, idx][:, :, idx])
-            for sub, idx in zip(candidates, clusters)
-        ):
-            break
-    else:
+    leaves = _minimal_projections(ops, np.eye(rec.dim))
+    candidates = [Subspace(model.local_dim, rec.basis @ leaf) for leaf in leaves]
+    if not all(
+        enclosure_defect(model, sub) <= TOL_ENCLOSURE and _is_scalar(leaf.conj().T @ ops @ leaf)
+        for sub, leaf in zip(candidates, leaves)
+    ):
         raise NumericalDegeneracyError(
             "failed to split the recurrent space into minimal enclosures"
         )
@@ -301,9 +289,9 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
     # in (+) M_m (x) I every two copies of one block are linked directly, so
     # comparing with each group's first member finds the whole block
     groups = []
-    for i, idx in enumerate(clusters):
+    for i, leaf in enumerate(leaves):
         for group in groups:
-            link = comp[:, clusters[group[0]]][:, :, idx]
+            link = leaves[group[0]].conj().T @ ops @ leaf
             if np.any(np.linalg.norm(link, axis=(1, 2)) > TOL_LINK):
                 group.append(i)
                 break
@@ -325,13 +313,23 @@ def _decompose(model: WalkModel, seed) -> SpaceDecomposition:
         blocks.append(Block(_frozen(block_sub), members, tau))
 
     blocks.sort(key=_block_sort_key)
-    return SpaceDecomposition(recurrent=rec, transient=tra, blocks=tuple(blocks))
+    return SpaceDecomposition(recurrent=rec, transient=transient_space(model), blocks=tuple(blocks))
 
 
-def _cluster_eigenvalues(w: np.ndarray) -> list:
-    """Index runs of the ascending ``w``, cut at gaps over 1e-8 of max(|w|, 1)."""
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > 1e-8 * scale) + 1)
+def _minimal_projections(ops: np.ndarray, space: np.ndarray) -> list:
+    """Bases of minimal projections of the algebra spanned by ``ops`` that tile
+    ``space``, the range of a projection in it. A ``space`` on which some
+    compression of ``ops`` is not scalar is cut at the widest gap between
+    consecutive eigenvalues of one compression: each half is a spectral
+    projection of an algebra element."""
+    comp = space.conj().T @ ops @ space
+    if _is_scalar(comp):
+        return [space]
+    w, vecs = np.linalg.eigh(comp)
+    gaps = np.diff(w, axis=1)
+    k, cut = np.unravel_index(np.argmax(gaps), gaps.shape)
+    halves = space @ vecs[k, :, : cut + 1], space @ vecs[k, :, cut + 1 :]
+    return [leaf for half in halves for leaf in _minimal_projections(ops, half)]
 
 
 def _is_scalar(stack: np.ndarray) -> bool:

@@ -22,7 +22,7 @@ from oqwalk.asymptotics import (
 from oqwalk.channel import ChannelView, WalkModel, perron
 from oqwalk.errors import NumericalDegeneracyError
 from oqwalk.linalg import Subspace
-from oqwalk.structure import DiagonalState, decompose, weights
+from oqwalk.structure import DiagonalState, decompose, recurrent_space, weights
 from util import apply, basis_subspace, bernoulli_rate, random_irreducible_model
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -426,6 +426,88 @@ class TestLegendre:
         assert vertex.value == pytest.approx(np.log(4), abs=1e-8)
         assert vertex.note.startswith("maximizer on the search boundary")
         np.testing.assert_allclose(vertex.maximizer, [u, 0.0], atol=1e-6)
+
+    # per (seed, h) of random_irreducible_model(seed, h, lattice_dim=2): the
+    # _log_lambda_derivatives calls that 49 ascents on the recurrent space
+    # made over the grid [-0.6, 0.6]^2 at step 0.2 before the Newton-decrement
+    # stop, and the rates they found (x_1 outer)
+    PLANAR_ASCENTS = {
+        (5, 2): (
+            959,
+            """
+            inf 0.374484832332756 0.168882469181699 0.16847736195403
+            0.321791995467149 0.74996942685981 inf 0.435929474910628
+            0.144812999821994 0.0506781018072777 0.0703801167959721
+            0.205926099689838 0.500155583675616 1.06357539861006
+            0.23723587628785 0.0668910473113889 0.00325868766162247
+            0.0321675425105441 0.159533350412304 0.413231744087291
+            0.836649765770354 0.211411271560123 0.06983023636735
+            0.0182562001953237 0.0508706091796538 0.174062594366328
+            0.410481342070518 0.796814780130613 0.303181578677685
+            0.153545887793343 0.099380912192738 0.130432424551106
+            0.251707477056381 0.485630799646829 0.879272251766562
+            0.59000591165756 0.33538094382971 0.256884413187039 0.27896129418752
+            0.400286175070264 0.649183121311366 1.15182876952518 inf
+            0.701026349994741 0.511328552736022 0.510414670459345
+            0.637156347164811 0.977915507449859 inf
+            """,
+        ),
+        (6, 4): (
+            1418,
+            """
+            inf 0.770810805972323 0.493497675507242 0.394892415099309
+            0.403316673851395 0.584647821079054 inf 0.682132297985198
+            0.368288094775682 0.221046225179551 0.161652175077278
+            0.181450082998352 0.290864383346211 0.566485120638335
+            0.372594723680076 0.183207910986619 0.0736052388540156
+            0.035953962158589 0.0699101087534928 0.179281618620284
+            0.37257253363671 0.298005777282962 0.126461396343198
+            0.0272769739920784 0.000918762279819651 0.04876278879789
+            0.171074421155485 0.367983681715405 0.387066115539132
+            0.183857630037037 0.0728065015133012 0.0482948750119081
+            0.10978121215185 0.255016531102302 0.488484034548957
+            0.721493834117796 0.375279271535838 0.219759891451645
+            0.183983839858023 0.260170876294316 0.446189209311793
+            0.814725908139664 inf 0.808122695401131 0.504700667228084
+            0.434064207749846 0.534335596842242 0.847132745033926 inf
+            """,
+        ),
+        (7, 4): (
+            1092,
+            """
+            inf 0.986430090178736 0.555108849149179 0.376828459231111
+            0.380821387041826 0.618720694061466 inf 1.11265360352746
+            0.573680365174692 0.284906655124901 0.155090375003761
+            0.159452382614647 0.298445568671997 0.659586522712518
+            0.747382076877146 0.356957101258284 0.13022654726907
+            0.0319752187248148 0.0437411050538039 0.166358064275085
+            0.42031543441516 0.593193637801781 0.271051490287363
+            0.0862486728843602 0.00927518811472363 0.0293483335031394
+            0.151500512371701 0.391159432274738 0.617082182034667
+            0.326888593342479 0.16056340524804 0.0923104913437548
+            0.117837675205918 0.247988199964752 0.508722787617181
+            0.905794594769727 0.527983416577416 0.342864074588551
+            0.268861190977261 0.300384136710413 0.455163246980544
+            0.827300399381183 inf 0.902862681729058 0.605073027169291
+            0.512182739790777 0.564467114236895 0.835177620997195 inf
+            """,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, h", sorted(PLANAR_ASCENTS))
+    def test_planar_ascent_stops_at_roundoff(self, monkeypatch, seed, h):
+        # a converged ascent quits on its Newton decrement instead of halving
+        # its step 40 times against a value that is flat at roundoff
+        model = random_irreducible_model(seed, local_dim=h, lattice_dim=2)
+        calls, real = [], asymptotics._log_lambda_derivatives
+        monkeypatch.setattr(
+            asymptotics, "_log_lambda_derivatives", lambda *a: calls.append(1) or real(*a)
+        )
+        grid = np.linspace(-0.6, 0.6, 7)
+        values = [legendre(model, recurrent_space(model), [a, b]).value for a in grid for b in grid]
+        before, pinned = self.PLANAR_ASCENTS[seed, h]
+        np.testing.assert_allclose(values, np.array(pinned.split(), dtype=float), rtol=0, atol=1e-13)
+        assert len(calls) < before
 
     def test_kink_of_reachable_compression(self, four_state_half):
         # log lambda on span{e0, e3} is log max(lam_V, lam_W) (closed forms of

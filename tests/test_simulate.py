@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import os
+import signal
 import threading
 import time
 
@@ -593,11 +594,12 @@ class TestRun:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_exit_without_writing(self, monkeypatch):
-        # a child that ends before it writes its pipe leaves no data to read
+    @staticmethod
+    def _child_ends_without_writing(monkeypatch, end):
+        # the child calls ``end`` before it writes its pipe, leaving no data
         def rng(seed, lo, hi):
             if lo >= 4:
-                os._exit(7)
+                end()
             return [FixedDraws(0.25)] * (hi - lo)
 
         monkeypatch.setattr(simulate, "trajectory_rng", rng)
@@ -605,11 +607,18 @@ class TestRun:
         with pytest.raises(RuntimeError) as caught:
             run(cut_model(), DiagonalState.single_site(np.diag([1.0, 0.0])), SimConfig(5, 8, 0))
         assert len(forked) == 1
-        message = f"simulation worker {forked[0]} ended with wait status "
-        assert str(caught.value).startswith(message)
-        assert os.waitstatus_to_exitcode(int(str(caught.value)[len(message):])) == 7
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        return str(caught.value), forked[0]
+
+    def test_child_exit_without_writing(self, monkeypatch):
+        message, pid = self._child_ends_without_writing(monkeypatch, lambda: os._exit(7))
+        assert message == f"simulation worker {pid} ended with exit code 7"
+
+    def test_killed_child_reports_its_signal(self, monkeypatch):
+        kill = lambda: os.kill(os.getpid(), signal.SIGKILL)  # noqa: E731
+        message, pid = self._child_ends_without_writing(monkeypatch, kill)
+        assert message == f"simulation worker {pid} ended with exit code {-signal.SIGKILL}"
 
     def test_failed_fork_closes_its_pipe(self, monkeypatch):
         # at 3 slices the second fork fails: the first child is reaped, and

@@ -25,6 +25,7 @@ from oqwalk.structure import (
     weights,
 )
 from util import (
+    FIXTURE_PAIRS,
     apply_dual,
     basis_subspace,
     martingale_check,
@@ -47,6 +48,7 @@ def _benchmark_generator():
 
 
 reducible = _benchmark_generator()
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def tensor_multiplicity_model():
@@ -202,28 +204,38 @@ class TestDecompose:
         assert calls == []
 
     def test_merged_candidates_fail_the_scalar_rule(self, monkeypatch):
-        # merging two eigenvalue clusters gives a sum of two minimal
+        # merging two minimal projections gives a sum of two minimal
         # enclosures: an enclosure, but one on which the dual fixed points
-        # are not scalar, so every draw is refused
+        # are not scalar, so the split is refused at once
         model = WalkModel.load(TestMemo.FIXTURE)
-        split, sizes, defects = structure._cluster_eigenvalues, [], []
+        split, sizes, defects = structure._minimal_projections, [], []
 
-        def merging(w):
-            first, second, *rest = split(w)
-            sizes.append(len(first) + len(second))
-            return [np.concatenate([first, second]), *rest]
+        def merging(ops, space):
+            leaves = split(ops, space)
+            if space.shape[1] < ops.shape[1]:  # an inner cut
+                return leaves
+            first, second, *rest = leaves
+            sizes.append(first.shape[1] + second.shape[1])
+            return [np.hstack([first, second]), *rest]
 
         def recording(m, sub):
             defects.append(enclosure_defect(m, sub))
             return defects[-1]
 
-        monkeypatch.setattr(structure, "_cluster_eigenvalues", merging)
+        monkeypatch.setattr(structure, "_minimal_projections", merging)
         monkeypatch.setattr(structure, "enclosure_defect", recording)
         with pytest.raises(NumericalDegeneracyError, match="minimal enclosures"):
             decompose(model, seed=0)
-        assert len(sizes) == 5 and min(sizes) >= 2
+        assert sizes == [2]
         assert max(defects) <= structure.TOL_ENCLOSURE
 
+    def test_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        dec = decompose(WalkModel.load(TestMemo.FIXTURE))
+        assert [b.multiplicity for b in dec.blocks] == [2, 1]
 
     def test_eigenvalue_near_1_is_refused(self):
         # 1 - 2e-8 lies between TOL_FIXED and AMBIGUITY_BAND; at eps = 1e-6
@@ -282,6 +294,64 @@ class TestGroundTruth:
         for block in dec.blocks:
             for sub in (block.subspace, *block.minimal_enclosures):
                 assert martingale_check(model, absorption(model, sub).matrix, states) <= 1e-9
+
+
+def haar_unitary(rng, h: int) -> np.ndarray:
+    """Haar-random h x h unitary: QR of a complex Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestUnitaryCovariance:
+    """Conjugating every Kraus operator and the state by one unitary u moves
+    each block projector P to u P u* and leaves the block weights, the
+    mixture and the rates of a sweep whose parts are whole blocks as they
+    were. (The minimal enclosures inside a multiplicity block are a choice
+    of basis, so they may move.)"""
+
+    @pytest.mark.parametrize("model_file, state_file", FIXTURE_PAIRS)
+    def test_block_outputs_are_covariant(self, model_file, state_file):
+        model = WalkModel.load(FIXTURES / model_file)
+        rho = DiagonalState.load(FIXTURES / state_file)
+        dec = decompose(model)
+        block_weights, _ = weights(model, dec, rho)
+        mixture = asymptotics.clt_mixture(model, dec, rho, 50)
+        kept = [j for j, w in enumerate(block_weights) if w > asymptotics.WEIGHT_FLOOR]
+        components = dict(zip(kept, mixture.components))
+        # two_state's one block is one enclosure; commuting_diag is exact-LDP
+        whole = model_file in ("two_state.json", "commuting_diag.json")
+        points = np.linspace(-0.9, 0.9, 7)[:, None] if whole else np.empty((0, 1))
+        rates = [ev.value for ev in asymptotics.rate_function(model, dec, rho, points)]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u = haar_unitary(rng, model.local_dim)
+            turned = WalkModel(shifts=model.shifts, kraus=u @ model.kraus @ u.conj().T)
+            turned_rho = DiagonalState({s: u @ m @ u.conj().T for s, m in rho.entries.items()})
+            turned_dec = decompose(turned)
+            # block i of the turned model is block order[i] of the model, turned
+            moved = [u @ b.subspace.projector() @ u.conj().T for b in dec.blocks]
+            order = []
+            for block in turned_dec.blocks:
+                gaps = [np.linalg.norm(block.subspace.projector() - p) for p in moved]
+                order.append(int(np.argmin(gaps)))
+                assert min(gaps) <= 1e-10
+            assert sorted(order) == list(range(len(dec.blocks)))
+            turned_weights, _ = weights(turned, turned_dec, turned_rho)
+            np.testing.assert_allclose(
+                turned_weights, [block_weights[j] for j in order], rtol=0, atol=1e-10
+            )
+            turned_mixture = asymptotics.clt_mixture(turned, turned_dec, turned_rho, 50)
+            kept = [order[i] for i, w in enumerate(turned_weights) if w > asymptotics.WEIGHT_FLOOR]
+            assert sorted(kept) == sorted(components)
+            for j, (w, g) in zip(kept, turned_mixture.components):
+                w0, g0 = components[j]
+                assert abs(w - w0) <= 1e-10
+                np.testing.assert_allclose(g.mean_rate, g0.mean_rate, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(g.covariance, g0.covariance, rtol=0, atol=1e-10)
+            turned_rates = asymptotics.rate_function(turned, turned_dec, turned_rho, points)
+            np.testing.assert_allclose(
+                [ev.value for ev in turned_rates], rates, rtol=0, atol=1e-10
+            )
 
 
 class TestAbsorption:
@@ -428,13 +498,9 @@ class TestMemo:
         assert calls == []
 
     def test_other_seed_gives_the_same_blocks(self):
+        # the split draws nothing, so the seed is ignored and not in the key
         model = WalkModel.load(self.FIXTURE)
-        a, b = decompose(model, seed=0), decompose(model, seed=1)
-        assert a is not b
-        assert len(a.blocks) == len(b.blocks)
-        for ba, bb in zip(a.blocks, b.blocks):
-            assert subspace_angle(ba.subspace, bb.subspace) <= 1e-8
-            assert ba.multiplicity == bb.multiplicity
+        assert decompose(model, seed=0) is decompose(model, seed=7)
 
     def test_shared_decomposition_is_read_only(self):
         dec = decompose(tensor_multiplicity_model(), seed=0)

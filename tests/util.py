@@ -5,6 +5,15 @@ import numpy as np
 from oqwalk.channel import ChannelView, WalkModel
 from oqwalk.linalg import Subspace
 
+# (model, state) files under fixtures/ that the CLI pins and relations run on
+FIXTURE_PAIRS = [
+    ("two_state.json", "state_two_recurrent.json"),
+    ("four_state_p3_sixth.json", "state_four_balanced.json"),
+    ("four_state_p3_sixth.json", "state_four_transient.json"),
+    ("four_state_p3_half.json", "state_four_transient.json"),
+    ("commuting_diag.json", "state_commuting_mixed.json"),
+]
+
 
 def apply(view: ChannelView, sigma: np.ndarray) -> np.ndarray:
     """Deformed compressed channel sum_i e^{u.s_i} K_i sigma K_i*, as a Kraus
